@@ -672,21 +672,19 @@ let ablation_vliw () =
     \ executed against the dataflow semantics by the test suite.)\n"
 
 (* ------------------------------------------------------------------ *)
-(* 8i. Refinement loop: incremental closure vs rebuild-per-mutation    *)
+(* 8i. Refinement loop: incremental closure maintenance                *)
 (* ------------------------------------------------------------------ *)
 
 (* The dependence core keeps the reachability index consistent across
-   graph mutations either by replaying the mutation journal into the
-   closure ([`Incremental], the default) or by rebuilding it from
-   scratch at every sync ([`Rebuild], the pre-refactor behaviour).
-   Both paths must produce bit-identical schedules; the sweep measures
-   what the incremental path saves on a schedule-then-refine loop —
-   the paper's Figure 1(e) usage pattern — as the design grows 16x. *)
+   graph mutations by replaying the mutation journal into the closure.
+   The sweep measures that replay on a schedule-then-refine loop — the
+   paper's Figure 1(e) usage pattern — as the design grows 16x: the ECO
+   time, and the closure work it costs in rows and words. *)
 let refinement_loop () =
-  section "Refinement loop: incremental closure vs rebuild-per-mutation";
+  section "Refinement loop: incremental closure maintenance";
   let resources = R.fig3_2alu_2mul in
-  Printf.printf "%6s %6s %12s %12s %8s %12s %12s %9s\n" "|V|" "ecos"
-    "rebuild(s)" "incr(s)" "speedup" "incr words" "rebld words" "identical";
+  Printf.printf "%6s %6s %12s %12s %12s %9s\n" "|V|" "ecos" "eco(s)"
+    "rows" "words" "rebuilds";
   let rng = Random.State.make [| 2026 |] in
   List.iter
     (fun n ->
@@ -696,70 +694,48 @@ let refinement_loop () =
       let targets =
         List.filteri (fun i _ -> i < max 1 (n / 10)) (Graph.edges g0)
       in
-      (* timed region: the ECO sweep only — scheduling cost is the
-         same under both modes and would bury the closure delta *)
+      (* timed region: the ECO sweep only, not the initial schedule *)
       let reps = max 1 (400 / n) in
-      let run mode =
-        T.set_reach_mode mode;
-        Fun.protect
-          ~finally:(fun () -> T.set_reach_mode `Incremental)
-          (fun () ->
-            let total = ref 0.0 in
-            let last = ref None in
-            for _ = 1 to reps do
-              let g = Graph.copy g0 in
-              let state = Soft.Scheduler.run ~resources g in
-              let c = Telemetry.Counters.create () in
-              let t0 = Sys.time () in
-              Telemetry.with_sink (Telemetry.Counters.sink c) (fun () ->
-                  List.iter
-                    (fun (u, v) ->
-                      ignore
-                        (Refine.Eco.insert_on_edge state ~src:u ~dst:v
-                           ~op:Op.Mov ()))
-                    targets);
-              total := !total +. (Sys.time () -. t0);
-              last :=
-                Some
-                  ( Telemetry.Counters.snapshot c,
-                    S.starts (T.to_schedule state) )
-            done;
-            let snap, starts = Option.get !last in
-            (!total /. float_of_int reps, snap, starts))
-      in
-      let rebuild_t, rebuild_snap, rebuild_starts = run `Rebuild in
-      let incr_t, snap, incr_starts = run `Incremental in
-      let identical = rebuild_starts = incr_starts in
-      let speedup = rebuild_t /. max incr_t 1e-9 in
-      Printf.printf "%6d %6d %12.5f %12.5f %7.1fx %12d %12d %9s\n" n
-        (List.length targets) rebuild_t incr_t speedup
+      let total = ref 0.0 in
+      let last = ref None in
+      for _ = 1 to reps do
+        let g = Graph.copy g0 in
+        let state = Soft.Scheduler.run ~resources g in
+        let c = Telemetry.Counters.create () in
+        let t0 = Sys.time () in
+        Telemetry.with_sink (Telemetry.Counters.sink c) (fun () ->
+            List.iter
+              (fun (u, v) ->
+                ignore
+                  (Refine.Eco.insert_on_edge state ~src:u ~dst:v ~op:Op.Mov ()))
+              targets);
+        total := !total +. (Sys.time () -. t0);
+        last := Some (Telemetry.Counters.snapshot c)
+      done;
+      let eco_t = !total /. float_of_int reps in
+      let snap = Option.get !last in
+      Printf.printf "%6d %6d %12.5f %12d %12d %9d\n" n (List.length targets)
+        eco_t snap.Telemetry.Counters.closure_rows_touched
         snap.Telemetry.Counters.closure_words_ored
-        rebuild_snap.Telemetry.Counters.closure_words_ored
-        (if identical then "yes" else "NO");
+        snap.Telemetry.Counters.closure_rebuilds;
       let rec_row name unit v =
         record ~sec:"refine" ~name:(Printf.sprintf "refine/V=%d/%s" n name)
           ~unit v
       in
-      rec_row "rebuild" "s" rebuild_t;
-      rec_row "incremental" "s" incr_t;
-      rec_row "speedup" "x" speedup;
+      rec_row "incremental" "s" eco_t;
       rec_row "closure_rows_touched" "count"
         (float_of_int snap.Telemetry.Counters.closure_rows_touched);
       rec_row "closure_words_ored" "count"
         (float_of_int snap.Telemetry.Counters.closure_words_ored);
-      rec_row "closure_words_ored_rebuild" "count"
-        (float_of_int rebuild_snap.Telemetry.Counters.closure_words_ored);
       rec_row "closure_rebuilds" "count"
         (float_of_int snap.Telemetry.Counters.closure_rebuilds);
       rec_row "closure_incremental_updates" "count"
-        (float_of_int snap.Telemetry.Counters.closure_incremental_updates);
-      rec_row "identical" "bool" (if identical then 1.0 else 0.0))
+        (float_of_int snap.Telemetry.Counters.closure_incremental_updates))
     [ 50; 100; 200; 400; 800 ];
   Printf.printf
-    "(rebuild is the pre-refactor policy: every graph mutation observed\n\
-    \ by the state pays a from-scratch transitive closure. The journal\n\
-    \ replay touches only the rows the new edge actually orders, and\n\
-    \ the schedules stay bit-identical either way.)\n"
+    "(the journal replay touches only the rows each new edge actually\n\
+    \ orders; a rebuild would only be needed for an uncovered edge\n\
+    \ removal, which no refinement step makes.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* 9. Bechamel wall-clock timings                                      *)

@@ -97,7 +97,10 @@ val to_schedule : ?placement:[ `Asap | `Alap ] -> t -> Schedule.t
 
 val copy : t -> t
 (** Deep copy sharing the (mutable) underlying graph — cheap state
-    snapshotting for the naive reference scheduler and the tests. *)
+    snapshotting for the naive reference scheduler, the search engines
+    and the tests. The copy gets its own work buffers, so a state and
+    its copies may be scheduled concurrently from different domains
+    (the shared graph itself must not be mutated meanwhile). *)
 
 type stats = {
   n_scheduled : int;
@@ -116,14 +119,6 @@ val stats : ?with_softness:bool -> t -> stats
 (** One pass over the state. [ordered_pairs] costs a from-scratch
     transitive closure of the state graph, so it is only computed when
     [with_softness] is true (default false). *)
-
-val set_reach_mode : [ `Incremental | `Rebuild ] -> unit
-(** Process-global policy for keeping the reachability index in step
-    with graph mutations. [`Incremental] (default) replays the graph's
-    mutation journal into the existing closure; [`Rebuild] recomputes it
-    from scratch on every change, the pre-refactor behaviour — kept so
-    the benchmark can quantify the difference. Queries are identical in
-    both modes. *)
 
 (** {2 Introspection for the reference implementation and the tests} *)
 

@@ -4,6 +4,7 @@ type mutation =
   | Added_vertex of vertex
   | Added_edge of vertex * vertex
   | Removed_edge of vertex * vertex
+  | Changed_delay of vertex
 
 type node = {
   op : Op.t;
@@ -152,7 +153,8 @@ let op g v = (node g v).op
 let delay g v = (node g v).delay
 let set_delay g v d =
   if d < 0 then invalid_arg "Graph.set_delay: negative delay";
-  (node g v).delay <- d
+  (node g v).delay <- d;
+  ignore (Vec.push g.journal (Changed_delay v))
 
 let name g v = (node g v).name
 let preds g v = Vec.to_list (node g v).preds

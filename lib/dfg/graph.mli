@@ -12,7 +12,7 @@
 
     Adjacency is stored in growable int arrays ({!Vec}), with a hashed
     edge set alongside, so [add_edge] and [mem_edge] are O(1) expected
-    and amortised. Every structural change is appended to a mutation
+    and amortised. Every change (structure or delay) is appended to a mutation
     journal; incremental clients (notably the reachability index in
     [Soft.Threaded_graph]) read {!generation} and replay
     {!mutations_since} instead of diffing the whole graph. *)
@@ -24,8 +24,10 @@ type mutation =
   | Added_vertex of vertex
   | Added_edge of vertex * vertex
   | Removed_edge of vertex * vertex
-      (** One entry per structural change, in application order.
-          [replace_operand] journals as a removal and/or addition. *)
+  | Changed_delay of vertex
+      (** One entry per change, in application order.
+          [replace_operand] journals as a removal and/or addition;
+          {!set_delay} as [Changed_delay]. *)
 
 val create : unit -> t
 
@@ -56,8 +58,8 @@ val n_edges : t -> int
 
 val generation : t -> int
 (** Monotone mutation counter: the number of journal entries so far.
-    Two observations of the same graph are structurally identical iff
-    their generations are equal. *)
+    Two observations of the same graph are identical (structure and
+    delays) iff their generations are equal. *)
 
 val mutations_since : t -> int -> mutation list
 (** [mutations_since g gen] returns the journal suffix from generation

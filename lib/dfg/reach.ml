@@ -147,12 +147,39 @@ let precedes r u v =
 let preceq r u v = u = v || precedes r u v
 let comparable r u v = precedes r u v || precedes r v u
 
+(* Ascending walk over the set bits of a row below [n], a 64-bit word
+   at a time: a zero word (the common case in a sparse closure) costs
+   one load and one compare. *)
+let iter_row f row n =
+  let len = Bytes.length row in
+  let w = ref 0 in
+  while !w < len do
+    if Bytes.get_int64_ne row !w <> 0L then
+      for i = !w to !w + 7 do
+        let byte = Bytes.get_uint8 row i in
+        if byte <> 0 then
+          for b = 0 to 7 do
+            if byte land (1 lsl b) <> 0 then begin
+              let u = (i lsl 3) lor b in
+              if u < n then f u
+            end
+          done
+      done;
+    w := !w + 8
+  done
+
+let iter_descendants f r v =
+  check r v;
+  iter_row f r.down.(v) r.n
+
+let iter_ancestors f r v =
+  check r v;
+  iter_row f r.up.(v) r.n
+
 let collect row n =
   let acc = ref [] in
-  for u = n - 1 downto 0 do
-    if bit_get row u then acc := u :: !acc
-  done;
-  !acc
+  iter_row (fun u -> acc := u :: !acc) row n;
+  List.rev !acc
 
 let descendants r v =
   check r v;

@@ -50,6 +50,15 @@ val descendants : t -> Graph.vertex -> Graph.vertex list
 
 val ancestors : t -> Graph.vertex -> Graph.vertex list
 
+val iter_descendants : (Graph.vertex -> unit) -> t -> Graph.vertex -> unit
+(** [iter_descendants f r v] applies [f] to the strict descendants of
+    [v] in ascending id order, without building a list. Zero words of
+    the bitset row are skipped whole, so a sparse row costs
+    O(V/64 + its size). *)
+
+val iter_ancestors : (Graph.vertex -> unit) -> t -> Graph.vertex -> unit
+(** Strict ancestors, as {!iter_descendants}. *)
+
 val count_pairs : t -> int
 (** Number of ordered pairs [(u, v)] with [u ≺ v] — a measure of how
     constrained the partial order is; used by the flexibility ablation. *)

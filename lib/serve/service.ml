@@ -52,8 +52,17 @@ let line ?id ~trace ~cached ~want_schedule o =
    stop once the working set is warm, so cloning is cheap and the warm
    prepare path — the per-request hot path under domains — takes no
    lock at all. *)
+(* A cache miss being computed. Requests for the same key that miss
+   meanwhile wait for it ("single flight") instead of scheduling the
+   graph again; [answer] stays [None] if the computation failed or
+   degraded, and the waiters then compute for themselves. *)
+type flight = { mutable answer : outcome option; mutable landed : bool }
+
 type t = {
   cache : outcome Cache.t;
+  flight_lock : Mutex.t;
+  flight_landed : Condition.t;
+  flights : (string, flight) Hashtbl.t;
   memo_lock : Mutex.t;
   name_memo : (string, string) Hashtbl.t Atomic.t;
       (* "name|res|meta" -> cache key *)
@@ -74,6 +83,9 @@ let create ?(cache_capacity = 256) ?metrics () =
   | None -> ());
   {
     cache = Cache.create ~capacity:cache_capacity ();
+    flight_lock = Mutex.create ();
+    flight_landed = Condition.create ();
+    flights = Hashtbl.create 16;
     memo_lock = Mutex.create ();
     name_memo = Atomic.make (Hashtbl.create 64);
     trace_lock = Mutex.create ();
@@ -259,6 +271,104 @@ let result_of_outcome ~key ~design ~resources ~meta (o : Engine.outcome) =
 
 (* -- the cache-or-compute pivot --------------------------------------- *)
 
+let compute ?deadline t p =
+  let g =
+    match p.graph with
+    | Some g -> g
+    | None -> (
+      (* Name-memo said cached, but the entry was evicted between
+         prepare and here; rebuild from the registry. *)
+      match build_graph p.req.Protocol.spec with
+      | Ok g -> g
+      | Error m -> failwith m)
+  in
+  let resources = p.req.Protocol.resources in
+  let meta = p.req.Protocol.meta in
+  let design = Protocol.spec_label p.req.Protocol.spec in
+  let record_engine name =
+    match t.metrics with
+    | None -> ()
+    | Some m -> Metrics.engine_run m ~engine:name
+  in
+  let result =
+    match p.req.Protocol.effort with
+    | Protocol.Fast ->
+      let st, degraded = schedule_graph ?deadline ~meta ~resources g in
+      record_engine "soft";
+      result_of_state ~key:p.key ~design ~resources ~meta ~degraded st
+    | Protocol.Race ->
+      (* The race builds its own private pool: execute already runs
+         inside a pool worker (daemon/batch), and fanning out on that
+         same pool would deadlock its workers against each other. *)
+      let engines =
+        match p.req.Protocol.engines with
+        | Some names -> List.filter_map Engine.find names
+        | None -> Race.default_portfolio ()
+      in
+      (match Race.run ?deadline ~meta ~engines ~resources g with
+      | Error m -> failwith m
+      | Ok race ->
+        List.iter
+          (fun (e : Race.entry) ->
+            if Option.is_some e.Race.outcome then record_engine e.Race.engine)
+          race.Race.entries;
+        (match t.metrics with
+        | None -> ()
+        | Some m ->
+          Metrics.race_win m
+            ~engine:race.Race.winner.Engine.annot.Engine.engine);
+        result_of_outcome ~key:p.key ~design ~resources ~meta race.Race.winner)
+    | Protocol.Exhaustive ->
+      let e =
+        match Engine.find "bnb" with
+        | Some e -> e
+        | None -> failwith "engine bnb is not registered"
+      in
+      let ctx = Engine.ctx ?deadline ~meta () in
+      let o = Engine.run ~ctx e ~resources g in
+      record_engine o.Engine.annot.Engine.engine;
+      result_of_outcome ~key:p.key ~design ~resources ~meta o
+  in
+  let o = outcome result in
+  if not result.Protocol.degraded then Cache.add t.cache p.key o;
+  sync_cache_gauge t;
+  o
+
+(* Lead the computation of [key], or wait for the one in flight:
+   [Some o] is the leader's cacheable answer. *)
+let follow_or_lead ?deadline t p =
+  Mutex.lock t.flight_lock;
+  match Hashtbl.find_opt t.flights p.key with
+  | Some f ->
+    while not f.landed do
+      Condition.wait t.flight_landed t.flight_lock
+    done;
+    Mutex.unlock t.flight_lock;
+    (match f.answer with
+    | Some o -> (o, true)
+    | None -> (compute ?deadline t p, false))
+  | None when Cache.mem t.cache p.key -> (
+    (* A leader landed between our miss and here. *)
+    Mutex.unlock t.flight_lock;
+    match Cache.find t.cache p.key with
+    | Some o -> (o, true)
+    | None -> (compute ?deadline t p, false))
+  | None ->
+    let f = { answer = None; landed = false } in
+    Hashtbl.replace t.flights p.key f;
+    Mutex.unlock t.flight_lock;
+    let arrive () =
+      Mutex.lock t.flight_lock;
+      f.landed <- true;
+      Hashtbl.remove t.flights p.key;
+      Condition.broadcast t.flight_landed;
+      Mutex.unlock t.flight_lock
+    in
+    Fun.protect ~finally:arrive (fun () ->
+        let o = compute ?deadline t p in
+        if not o.result.Protocol.degraded then f.answer <- Some o;
+        (o, false))
+
 let execute ?deadline ?span t p =
   let now = Telemetry.now_ns in
   let add_span f =
@@ -280,70 +390,9 @@ let execute ?deadline ?span t p =
   | None ->
     add_lookup (now () - t0);
     let t1 = now () in
-    let g =
-      match p.graph with
-      | Some g -> g
-      | None -> (
-        (* Name-memo said cached, but the entry was evicted between
-           prepare and here; rebuild from the registry. *)
-        match build_graph p.req.Protocol.spec with
-        | Ok g -> g
-        | Error m -> failwith m)
-    in
-    let resources = p.req.Protocol.resources in
-    let meta = p.req.Protocol.meta in
-    let design = Protocol.spec_label p.req.Protocol.spec in
-    let record_engine name =
-      match t.metrics with
-      | None -> ()
-      | Some m -> Metrics.engine_run m ~engine:name
-    in
-    let result =
-      match p.req.Protocol.effort with
-      | Protocol.Fast ->
-        let st, degraded = schedule_graph ?deadline ~meta ~resources g in
-        record_engine "soft";
-        result_of_state ~key:p.key ~design ~resources ~meta ~degraded st
-      | Protocol.Race ->
-        (* The race builds its own private pool: execute already runs
-           inside a pool worker (daemon/batch), and fanning out on that
-           same pool would deadlock its workers against each other. *)
-        let engines =
-          match p.req.Protocol.engines with
-          | Some names -> List.filter_map Engine.find names
-          | None -> Race.default_portfolio ()
-        in
-        (match Race.run ?deadline ~meta ~engines ~resources g with
-        | Error m -> failwith m
-        | Ok race ->
-          List.iter
-            (fun (e : Race.entry) ->
-              if Option.is_some e.Race.outcome then
-                record_engine e.Race.engine)
-            race.Race.entries;
-          (match t.metrics with
-          | None -> ()
-          | Some m ->
-            Metrics.race_win m
-              ~engine:race.Race.winner.Engine.annot.Engine.engine);
-          result_of_outcome ~key:p.key ~design ~resources ~meta
-            race.Race.winner)
-      | Protocol.Exhaustive ->
-        let e =
-          match Engine.find "bnb" with
-          | Some e -> e
-          | None -> failwith "engine bnb is not registered"
-        in
-        let ctx = Engine.ctx ?deadline ~meta () in
-        let o = Engine.run ~ctx e ~resources g in
-        record_engine o.Engine.annot.Engine.engine;
-        result_of_outcome ~key:p.key ~design ~resources ~meta o
-    in
-    let o = outcome result in
-    if not result.Protocol.degraded then Cache.add t.cache p.key o;
+    let answer = follow_or_lead ?deadline t p in
     add_schedule (now () - t1);
-    sync_cache_gauge t;
-    (o, false)
+    answer
 
 (* -- cache persistence ------------------------------------------------ *)
 

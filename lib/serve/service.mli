@@ -73,7 +73,10 @@ val line :
 
 val execute :
   ?deadline:float -> ?span:Metrics.span -> t -> prepared -> outcome * bool
-(** Returns [(outcome, cached)]. [deadline] is an absolute
+(** Returns [(outcome, cached)]. A miss on a key that another call is
+    already computing waits for that call and returns its answer as
+    cached, so duplicate requests in flight are scheduled once and get
+    the same reply at any parallelism. [deadline] is an absolute
     [Unix.gettimeofday] instant: once it passes, the remaining
     operations are fast-placed (first feasible position — still a valid
     threaded schedule, marked [degraded]) instead of diameter-optimised.

@@ -393,6 +393,41 @@ let test_pool_cancel_and_drain () =
   check Alcotest.bool "draining pool refuses work" true
     (Pool.try_submit p (fun () -> ()) = None)
 
+(* Copies of one threaded-graph state carry their own work buffers, so
+   the pool's workers (domains on 5.x) may schedule them at the same
+   time: each copy must finish with the schedule it gets when run
+   alone. *)
+let test_pool_state_copies_parallel () =
+  let g =
+    Generate.layered (Random.State.make [| 3 |]) ~layers:30 ~width:10 ~fanin:3
+  in
+  let resources = Resources.fig3_2alu_2mul in
+  let order = Dfg.Topo.sort g in
+  let prefix, rest = List.partition (fun v -> v < 60) order in
+  let base = T.create g ~resources in
+  T.schedule_all base prefix;
+  let finish tie st =
+    T.schedule_all ~tie st rest;
+    Schedule.starts (T.to_schedule st)
+  in
+  let ties = [ `First; `Balance; `Pack; `First ] in
+  let alone = List.map (fun tie -> finish tie (T.copy base)) ties in
+  let p = Pool.create ~jobs:2 () in
+  for _ = 1 to 3 do
+    let copies = List.map (fun tie -> (tie, T.copy base)) ties in
+    let futs =
+      List.map (fun (tie, st) -> Pool.submit p (fun () -> finish tie st)) copies
+    in
+    List.iter2
+      (fun expected f ->
+        match Pool.await f with
+        | Ok starts ->
+          check Alcotest.(array int) "copy scheduled as if alone" expected starts
+        | Error e -> Alcotest.failf "copy failed: %s" (Printexc.to_string e))
+      alone futs
+  done;
+  Pool.shutdown p
+
 (* Hammer the pool from the outside while the workers (domains on 5.x)
    chew through real compute: no future may be lost, every submitted
    increment must land, and shutdown must run everything already
@@ -602,6 +637,45 @@ let test_service_cache_flow () =
   check Alcotest.bool "not degraded" false r.Protocol.degraded;
   check Alcotest.int "slots cover the graph" n
     (List.length r.Protocol.assignment)
+
+(* Identical misses in flight are scheduled once: whichever call leads
+   computes, the others wait for it (or hit the cache afterwards) and
+   answer as cached, so the reply bytes do not depend on timing. *)
+let test_service_single_flight () =
+  let service = Service.create () in
+  let g =
+    Generate.layered (Random.State.make [| 9 |]) ~layers:20 ~width:10 ~fanin:3
+  in
+  let req =
+    { (request_for "inline") with
+      Protocol.spec = Protocol.Inline_dfg (Serial.to_string g) }
+  in
+  let prepared =
+    List.init 4 (fun _ ->
+        match Service.prepare service req with
+        | Ok p -> p
+        | Error m -> Alcotest.fail m)
+  in
+  let pool = Pool.create ~jobs:4 () in
+  let answers =
+    List.map
+      (fun f ->
+        match Pool.await f with
+        | Ok (o, cached) -> (Service.result_of o, cached)
+        | Error e -> Alcotest.failf "execute failed: %s" (Printexc.to_string e))
+      (List.map
+         (fun p -> Pool.submit pool (fun () -> Service.execute service p))
+         prepared)
+  in
+  Pool.shutdown pool;
+  check Alcotest.int "computed once" 1
+    (List.length (List.filter (fun (_, cached) -> not cached) answers));
+  let first = fst (List.hd answers) in
+  List.iter
+    (fun (r, _) ->
+      check Alcotest.int "same diameter" first.Protocol.diameter
+        r.Protocol.diameter)
+    answers
 
 let test_service_degraded_fallback () =
   let resources = default_resources () in
@@ -1254,6 +1328,8 @@ let () =
           Alcotest.test_case "cancel and drain" `Quick
             test_pool_cancel_and_drain;
           Alcotest.test_case "parallel hammer" `Quick test_pool_parallel_hammer;
+          Alcotest.test_case "state copies in parallel" `Quick
+            test_pool_state_copies_parallel;
           Alcotest.test_case "offer backpressure" `Quick
             test_pool_offer_backpressure;
           Alcotest.test_case "backend identity" `Quick
@@ -1273,6 +1349,7 @@ let () =
       ( "service",
         [
           Alcotest.test_case "cache flow" `Quick test_service_cache_flow;
+          Alcotest.test_case "single flight" `Quick test_service_single_flight;
           Alcotest.test_case "degraded fallback" `Quick
             test_service_degraded_fallback;
           Alcotest.test_case "save and load" `Quick test_service_save_load;

@@ -666,6 +666,135 @@ let prop_lemma6_stable_labels =
                (Graph.vertices g))
         (shuffled_order (seed + 6) g))
 
+(* Reference labels for the oracle below: longest delay-weighted paths
+   over [T.state_graph] by memoised recursion — deliberately not the
+   kernel's Kahn pass. Returns (sdist, tdist, diameter). *)
+let reference_labels state =
+  let sg = T.state_graph state in
+  let n = Graph.n_vertices sg in
+  let memo_s = Array.make n (-1) and memo_t = Array.make n (-1) in
+  let rec sdist v =
+    if memo_s.(v) < 0 then
+      memo_s.(v) <-
+        Graph.delay sg v
+        + List.fold_left (fun acc p -> max acc (sdist p)) 0 (Graph.preds sg v);
+    memo_s.(v)
+  and tdist v =
+    if memo_t.(v) < 0 then
+      memo_t.(v) <-
+        Graph.delay sg v
+        + List.fold_left (fun acc q -> max acc (tdist q)) 0 (Graph.succs sg v);
+    memo_t.(v)
+  in
+  let dia = List.fold_left (fun acc v -> max acc (sdist v)) 0 (Graph.vertices sg) in
+  (sdist, tdist, dia)
+
+let labels_match_reference state =
+  let _, _, dia = reference_labels state in
+  T.diameter state = dia
+
+(* Both placements of a complete state against the reference: ASAP
+   starts at sdist - delay, ALAP at diameter - tdist. *)
+let extraction_matches_reference state =
+  let g = T.graph state in
+  let sdist, tdist, dia = reference_labels state in
+  let asap = Array.init (Graph.n_vertices g) (fun v -> sdist v - Graph.delay g v) in
+  let alap = Array.init (Graph.n_vertices g) (fun v -> dia - tdist v) in
+  S.starts (T.to_schedule ~placement:`Asap state) = asap
+  && S.starts (T.to_schedule ~placement:`Alap state) = alap
+
+let prop_labels_match_reference =
+  (* The kernel's labels (diameter, both extractions) must equal a
+     reference longest-path computation after every kind of state
+     change: a select-driven [schedule], a forced [commit_at] at a
+     random feasible position, a free placement, and — after the graph
+     grows under a refinement step — the same again on the regrown
+     state. *)
+  QCheck.Test.make ~name:"labels match a reference longest path" ~count:60
+    (QCheck.make
+       ~print:(fun (n, p, seed) ->
+         Printf.sprintf "n=%d p=%.2f seed=%d" n p seed)
+       QCheck.Gen.(
+         triple (int_range 2 30) (float_range 0.05 0.4) (int_range 0 100_000)))
+    (fun (n, p, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g =
+        if seed mod 2 = 0 then Generate.random_dag rng ~n ~edge_prob:p
+        else Generate.layered rng ~layers:(1 + (n / 5)) ~width:(min n 5) ~fanin:2
+      in
+      (* zero-resource sources, so free placement is exercised *)
+      let n_ops = Graph.n_vertices g in
+      List.iter
+        (fun op ->
+          let c = Graph.add_vertex g op in
+          Graph.add_edge g c (Random.State.int rng n_ops))
+        [ Op.Input "x"; Op.Const 3 ];
+      let state = T.create g ~resources:two_two in
+      let place v =
+        match T.feasible_positions state v with
+        | [] -> T.schedule state v
+        | positions when Random.State.bool rng ->
+          T.commit_at state v
+            (List.nth positions (Random.State.int rng (List.length positions)))
+        | _ -> T.schedule state v
+      in
+      let step v =
+        place v;
+        labels_match_reference state
+      in
+      let refine op =
+        let edges = Graph.edges g in
+        edges = []
+        ||
+        let u, v = List.nth edges (Random.State.int rng (List.length edges)) in
+        step (Dfg.Mutate.insert_on_edge g ~src:u ~dst:v ~op ())
+        && extraction_matches_reference state
+      in
+      List.for_all step (Meta.random ~seed g)
+      && extraction_matches_reference state
+      && List.for_all refine [ Op.Mov; Op.Wire; Op.Mul; Op.Mov ])
+
+(* Labels are kept incrementally between commits; a delay change on a
+   scheduled vertex is journalled, so the next reader relabels. *)
+let test_labels_follow_set_delay () =
+  let g = Generate.chain ~n:3 in
+  let state = T.create g ~resources:(R.make [ (R.Alu, 1) ]) in
+  T.schedule_all state (Graph.vertices g);
+  check Alcotest.int "before" 3 (T.diameter state);
+  Graph.set_delay g 1 4;
+  check Alcotest.int "after" 6 (T.diameter state);
+  check Alcotest.bool "matches the reference" true
+    (extraction_matches_reference state)
+
+(* Scheduling a copy must not disturb the original, or vice versa: the
+   search engines interleave calls on a state and its copies. Each of
+   the two must end with exactly the schedule it gets when run alone. *)
+let test_copy_interleaved () =
+  let rng = Random.State.make [| 11 |] in
+  let g = Generate.layered rng ~layers:12 ~width:8 ~fanin:3 in
+  let order = Meta.random ~seed:5 g in
+  let prefix, rest = List.partition (fun v -> v mod 3 = 0) order in
+  let alone tie =
+    let st = T.create g ~resources:two_two in
+    T.schedule_all st prefix;
+    T.schedule_all ~tie st rest;
+    S.starts (T.to_schedule st)
+  in
+  let original = T.create g ~resources:two_two in
+  T.schedule_all original prefix;
+  let copy = T.copy original in
+  List.iter
+    (fun v ->
+      T.schedule original v;
+      ignore (T.diameter copy);
+      T.schedule ~tie:`Pack copy v;
+      ignore (T.diameter original))
+    rest;
+  check Alcotest.(array int) "original as if alone" (alone `First)
+    (S.starts (T.to_schedule original));
+  check Alcotest.(array int) "copy as if alone" (alone `Pack)
+    (S.starts (T.to_schedule copy))
+
 let () =
   Alcotest.run "soft"
     [
@@ -680,6 +809,9 @@ let () =
           Alcotest.test_case "parallelism" `Quick test_parallel_on_two_units;
           Alcotest.test_case "thread members" `Quick test_thread_members_order;
           Alcotest.test_case "copy" `Quick test_copy_is_independent;
+          Alcotest.test_case "copy interleaved" `Quick test_copy_interleaved;
+          Alcotest.test_case "labels follow set_delay" `Quick
+            test_labels_follow_set_delay;
           Alcotest.test_case "to_schedule partial" `Quick
             test_to_schedule_requires_completeness;
           Alcotest.test_case "commit_at infeasible" `Quick
@@ -747,5 +879,6 @@ let () =
             prop_meta_order_independence_of_correctness;
             prop_state_order_equals_reference;
             prop_lemma6_stable_labels;
+            prop_labels_match_reference;
           ] );
     ]
