@@ -273,6 +273,17 @@ let rec max_tdist nodes acc = function
   | [] -> acc
   | q :: rest -> max_tdist nodes (imax acc (Vec.get nodes q).tdist) rest
 
+(* v's labels from those of its state preds / succs. *)
+let sdist_of t v =
+  let n = Vec.get t.nodes v in
+  let from_prev = if n.prev >= 0 then (Vec.get t.nodes n.prev).sdist else 0 in
+  max_sdist t.nodes from_prev n.preds + Graph.delay t.graph v
+
+let tdist_of t v =
+  let n = Vec.get t.nodes v in
+  let from_next = if n.next >= 0 then (Vec.get t.nodes n.next).tdist else 0 in
+  max_tdist t.nodes from_next n.succs + Graph.delay t.graph v
+
 let release s x =
   let d = s.indeg.(x) - 1 in
   s.indeg.(x) <- d;
@@ -315,8 +326,7 @@ let label t =
     let v = s.order.(!head) in
     incr head;
     let n = Vec.get nodes v in
-    let from_prev = if n.prev >= 0 then (Vec.get nodes n.prev).sdist else 0 in
-    n.sdist <- max_sdist nodes from_prev n.preds + Graph.delay t.graph v;
+    n.sdist <- sdist_of t v;
     dia := imax !dia n.sdist;
     if n.next >= 0 then release s n.next;
     release_all s n.succs
@@ -325,9 +335,7 @@ let label t =
     failwith "Threaded_graph.label: scheduling state contains a cycle";
   for i = s.qtail - 1 downto 0 do
     let v = s.order.(i) in
-    let n = Vec.get nodes v in
-    let from_next = if n.next >= 0 then (Vec.get nodes n.next).tdist else 0 in
-    n.tdist <- max_tdist nodes from_next n.succs + Graph.delay t.graph v
+    (Vec.get nodes v).tdist <- tdist_of t v
   done;
   t.dia <- !dia;
   t.labelled <- true;
@@ -403,14 +411,11 @@ let drain t ~forward =
   s.qhead >= s.qtail
 
 let relabel_from t v =
-  let s = t.scratch and nodes = t.nodes in
-  let n = Vec.get nodes v in
-  let delay = Graph.delay t.graph v in
-  let from_prev = if n.prev >= 0 then (Vec.get nodes n.prev).sdist else 0 in
-  n.sdist <- max_sdist nodes from_prev n.preds + delay;
+  let s = t.scratch in
+  let n = Vec.get t.nodes v in
+  n.sdist <- sdist_of t v;
+  n.tdist <- tdist_of t v;
   t.dia <- imax t.dia n.sdist;
-  let from_next = if n.next >= 0 then (Vec.get nodes n.next).tdist else 0 in
-  n.tdist <- max_tdist nodes from_next n.succs + delay;
   let run ~forward =
     s.epoch <- s.epoch + 1;
     s.qhead <- 0;
