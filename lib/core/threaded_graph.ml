@@ -879,10 +879,9 @@ let schedule ?(tie = `First) t v =
     end
     else begin
       let intrinsic_src, intrinsic_snk = select_context t v in
-      (* Keep the running minimum instead of collecting candidates:
-         [`First] keeps the first minimum in scan order; [`Balance] and
-         [`Pack] replace it only by a strictly lighter tie, i.e. they
-         pick the first lightest of the minima. *)
+      (* Running minimum: [`First] keeps the first minimum in scan
+         order; [`Balance] and [`Pack] replace it only by a strictly
+         lighter tie, i.e. they pick the first lightest of the minima. *)
       let best_cost = ref max_int and best_thread = ref (-1)
       and best_after = ref (-1) and best_weight = ref None and ties = ref 0 in
       let weigh k =
