@@ -45,6 +45,12 @@ let core o ~want_schedule =
 let line ?id ~trace ~cached ~want_schedule o =
   Protocol.ok_line_with_core ?id ~trace ~cached (core o ~want_schedule)
 
+(* A cache miss being computed. Requests for the same key that miss
+   meanwhile wait for it ("single flight") instead of scheduling the
+   graph again; [answer] stays [None] if the computation failed or
+   degraded, and the waiters then compute for themselves. *)
+type flight = { mutable answer : outcome option; mutable landed : bool }
+
 (* The name-memo is copy-on-write: readers grab the current snapshot
    from the Atomic and look it up lock-free (a published table is never
    mutated again), writers clone-and-replace under [memo_lock]. The
@@ -52,12 +58,6 @@ let line ?id ~trace ~cached ~want_schedule o =
    stop once the working set is warm, so cloning is cheap and the warm
    prepare path — the per-request hot path under domains — takes no
    lock at all. *)
-(* A cache miss being computed. Requests for the same key that miss
-   meanwhile wait for it ("single flight") instead of scheduling the
-   graph again; [answer] stays [None] if the computation failed or
-   degraded, and the waiters then compute for themselves. *)
-type flight = { mutable answer : outcome option; mutable landed : bool }
-
 type t = {
   cache : outcome Cache.t;
   flight_lock : Mutex.t;
@@ -334,8 +334,8 @@ let compute ?deadline t p =
   sync_cache_gauge t;
   o
 
-(* Lead the computation of [key], or wait for the one in flight:
-   [Some o] is the leader's cacheable answer. *)
+(* After a miss: compute [p.key] as the leader, or wait for the flight
+   already computing it and answer as cached. *)
 let follow_or_lead ?deadline t p =
   Mutex.lock t.flight_lock;
   match Hashtbl.find_opt t.flights p.key with
