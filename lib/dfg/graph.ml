@@ -17,7 +17,6 @@ type node = {
 type t = {
   nodes : node Vec.t;
   mutable n_edges : int;
-  edge_set : (vertex * vertex, unit) Hashtbl.t;
   journal : mutation Vec.t;
 }
 
@@ -32,7 +31,6 @@ let create () =
   {
     nodes = Vec.create ~dummy:dummy_node ();
     n_edges = 0;
-    edge_set = Hashtbl.create 64;
     journal = Vec.create ~dummy:dummy_mutation ();
   }
 
@@ -73,17 +71,30 @@ let add_vertex g ?delay ?name op =
   ignore (Vec.push g.journal (Added_vertex id));
   id
 
+(* Int-specialised membership; [Vec.mem] would compare polymorphically. *)
+let vec_mem_int (vec : vertex Vec.t) (x : vertex) =
+  let n = Vec.length vec in
+  let rec loop i = i < n && (Vec.get vec i = x || loop (i + 1)) in
+  loop 0
+
+(* The edge u -> v exists iff [v] is among the successors of [u],
+   equivalently [u] among the operands of [v]; the shorter of the two
+   lists is scanned, O(min(out(u), in(v))), which on dataflow graphs is
+   a few words (fan-in is the op's arity). *)
+let has_edge nu u nv v =
+  if Vec.length nu.succs <= Vec.length nv.preds then vec_mem_int nu.succs v
+  else vec_mem_int nv.preds u
+
 let mem_edge g u v =
-  ignore (node g u);
-  Hashtbl.mem g.edge_set (u, v)
+  let nu = node g u in
+  v >= 0 && v < n_vertices g && has_edge nu u (Vec.get g.nodes v) v
 
 let add_edge g u v =
   if u = v then invalid_arg "Graph.add_edge: self loop";
   let nu = node g u and nv = node g v in
-  if not (Hashtbl.mem g.edge_set (u, v)) then begin
+  if not (has_edge nu u nv v) then begin
     ignore (Vec.push nu.succs v);
     ignore (Vec.push nv.preds u);
-    Hashtbl.add g.edge_set (u, v) ();
     ignore (Vec.push g.journal (Added_edge (u, v)));
     g.n_edges <- g.n_edges + 1
   end
@@ -105,24 +116,24 @@ let vec_remove_all vec x =
 
 let remove_edge g u v =
   let nu = node g u and nv = node g v in
-  if not (Hashtbl.mem g.edge_set (u, v)) then
+  if not (has_edge nu u nv v) then
     invalid_arg (Printf.sprintf "Graph.remove_edge: no edge %d -> %d" u v);
   ignore (Vec.remove_first nu.succs v);
   (* The edge is gone entirely, so every operand slot reading [u] goes
      with it (they can only repeat after a {!replace_operand} merge). *)
   vec_remove_all nv.preds u;
-  Hashtbl.remove g.edge_set (u, v);
   ignore (Vec.push g.journal (Removed_edge (u, v)));
   g.n_edges <- g.n_edges - 1
 
 let replace_operand g v ~old_pred ~new_pred =
   let nv = node g v in
-  if not (Vec.mem old_pred nv.preds) then
+  if not (vec_mem_int nv.preds old_pred) then
     invalid_arg
       (Printf.sprintf "Graph.replace_operand: %d does not feed %d" old_pred v);
   let n_old = node g old_pred and n_new = node g new_pred in
   if old_pred = new_pred then () (* rewiring a slot to itself: no-op *)
   else begin
+    let had_new = has_edge n_new new_pred nv v in
     (* Replace the first operand slot reading [old_pred]. *)
     let replaced = ref false in
     Vec.iteri
@@ -135,15 +146,13 @@ let replace_operand g v ~old_pred ~new_pred =
     (* Drop the old edge only if no other operand slot still reads
        [old_pred]; a blanket removal would break the succs/preds
        invariant when operands were previously merged. *)
-    if not (Vec.mem old_pred nv.preds) then begin
+    if not (vec_mem_int nv.preds old_pred) then begin
       ignore (Vec.remove_first n_old.succs v);
-      Hashtbl.remove g.edge_set (old_pred, v);
       ignore (Vec.push g.journal (Removed_edge (old_pred, v)));
       g.n_edges <- g.n_edges - 1
     end;
-    if not (Hashtbl.mem g.edge_set (new_pred, v)) then begin
+    if not had_new then begin
       ignore (Vec.push n_new.succs v);
-      Hashtbl.add g.edge_set (new_pred, v) ();
       ignore (Vec.push g.journal (Added_edge (new_pred, v)));
       g.n_edges <- g.n_edges + 1
     end
@@ -223,7 +232,6 @@ let copy g =
   {
     nodes;
     n_edges = g.n_edges;
-    edge_set = Hashtbl.copy g.edge_set;
     journal = Vec.copy g.journal;
   }
 

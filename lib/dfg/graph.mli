@@ -10,9 +10,10 @@
     of a vertex is kept in insertion order because it doubles as the
     operand list for evaluation of non-commutative operations.
 
-    Adjacency is stored in growable int arrays ({!Vec}), with a hashed
-    edge set alongside, so [add_edge] and [mem_edge] are O(1) expected
-    and amortised. Every change (structure or delay) is appended to a mutation
+    Adjacency is stored in growable int arrays ({!Vec}) and nothing
+    else: [add_edge] and [mem_edge] find an existing edge by scanning
+    the shorter of [succs u] / [preds v], O(min(out(u), in(v))). Every
+    change (structure or delay) is appended to a mutation
     journal; incremental clients (notably the reachability index in
     [Soft.Threaded_graph]) read {!generation} and replay
     {!mutations_since} instead of diffing the whole graph. *)
@@ -88,7 +89,7 @@ val out_degree : t -> vertex -> int
 (** O(1). *)
 
 val mem_edge : t -> vertex -> vertex -> bool
-(** O(1) expected. *)
+(** O(min(out_degree u, in_degree v)). *)
 
 val iter_preds : (vertex -> unit) -> t -> vertex -> unit
 (** Array-walking variant of {!preds}: no allocation, operand order. *)

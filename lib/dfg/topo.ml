@@ -3,25 +3,35 @@ let indegrees g =
   Graph.iter_edges (fun _ v -> indeg.(v) <- indeg.(v) + 1) g;
   indeg
 
-let sort g =
+(* Kahn with FIFO tie-breaking; the output array doubles as the queue. *)
+let order g =
+  let n = Graph.n_vertices g in
   let indeg = indegrees g in
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
-    incr count;
-    Graph.iter_succs
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v queue)
-      g u
+  let order = Array.make n 0 in
+  let tail = ref 0 in
+  Array.iteri
+    (fun v d ->
+      if d = 0 then begin
+        order.(!tail) <- v;
+        incr tail
+      end)
+    indeg;
+  let release v =
+    indeg.(v) <- indeg.(v) - 1;
+    if indeg.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
+  in
+  let head = ref 0 in
+  while !head < !tail do
+    Graph.iter_succs release g order.(!head);
+    incr head
   done;
-  if !count <> Graph.n_vertices g then
-    invalid_arg "Topo.sort: graph has a cycle";
-  List.rev !order
+  if !tail <> n then invalid_arg "Topo.sort: graph has a cycle";
+  order
+
+let sort g = Array.to_list (order g)
 
 (* Priority-queue Kahn: the ready set is re-scanned for its minimum.
    O(V^2) worst case, fine for scheduling-sized graphs. *)

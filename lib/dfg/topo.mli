@@ -7,6 +7,9 @@ val sort : Graph.t -> Graph.vertex list
 (** A topological order (Kahn, FIFO tie-breaking — deterministic).
     @raise Invalid_argument if the graph has a cycle. *)
 
+val order : Graph.t -> Graph.vertex array
+(** {!sort} as an array, built without a list or a queue. *)
+
 val sort_by : Graph.t -> compare:(Graph.vertex -> Graph.vertex -> int)
   -> Graph.vertex list
 (** Topological order where, among simultaneously-ready vertices, the

@@ -35,54 +35,73 @@ let parse (s : string) : t =
     String.iter expect word;
     value
   in
+  (* Index of the first '"' or '\\' at or after [i], or [n]. *)
+  let rec run_end i =
+    if i >= n then n
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' -> i
+      | _ -> run_end (i + 1)
+  in
+  let escape b =
+    (* [!pos] is just past a backslash *)
+    match peek () with
+    | Some 'u' ->
+      advance ();
+      if !pos + 4 > n then fail "truncated \\u escape";
+      let code =
+        match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+        | Some c -> c
+        | None -> fail "bad \\u escape"
+      in
+      pos := !pos + 4;
+      (* Basic-multilingual-plane only; enough for our own output,
+         which never escapes beyond control characters. *)
+      if code < 0x80 then Buffer.add_char b (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+      end
+      else begin
+        Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+      end
+    | Some '"' -> Buffer.add_char b '"'; advance ()
+    | Some '\\' -> Buffer.add_char b '\\'; advance ()
+    | Some '/' -> Buffer.add_char b '/'; advance ()
+    | Some 'b' -> Buffer.add_char b '\b'; advance ()
+    | Some 'f' -> Buffer.add_char b '\012'; advance ()
+    | Some 'n' -> Buffer.add_char b '\n'; advance ()
+    | Some 'r' -> Buffer.add_char b '\r'; advance ()
+    | Some 't' -> Buffer.add_char b '\t'; advance ()
+    | _ -> fail "bad escape"
+  in
+  (* Escape-free runs are copied whole; a string without any escape is
+     one [String.sub]. *)
   let string_body () =
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
+    let start = !pos in
+    let stop = run_end start in
+    if stop < n && String.unsafe_get s stop = '"' then begin
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else begin
+      let b = Buffer.create (stop - start + 16) in
+      let rec go from stop =
+        Buffer.add_substring b s from (stop - from);
+        pos := stop;
+        if stop >= n then fail "unterminated string"
+        else if String.unsafe_get s stop = '"' then advance ()
+        else begin
           advance ();
-          (match peek () with
-          | Some 'u' ->
-            advance ();
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let code =
-              match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-              | Some c -> c
-              | None -> fail "bad \\u escape"
-            in
-            pos := !pos + 4;
-            (* Basic-multilingual-plane only; enough for our own output,
-               which never escapes beyond control characters. *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-          | Some '"' -> Buffer.add_char b '"'; advance ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance ()
-          | Some '/' -> Buffer.add_char b '/'; advance ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance ()
-          | Some 't' -> Buffer.add_char b '\t'; advance ()
-          | _ -> fail "bad escape");
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
+          escape b;
+          go !pos (run_end !pos)
+        end
+      in
+      go start stop;
+      Buffer.contents b
+    end
   in
   let number () =
     let start = !pos in
@@ -173,21 +192,30 @@ let parse_result s =
 
 (* --- printing ------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Appends [s] JSON-escaped (without the quotes), copying escape-free
+   runs whole. *)
+let add_escaped b s =
+  let n = String.length s in
+  let rec go from i =
+    if i >= n then Buffer.add_substring b s from (n - from)
+    else
+      let c = String.unsafe_get s i in
+      if not (needs_escape c) then go from (i + 1)
+      else begin
+        Buffer.add_substring b s from (i - from);
+        (match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0
 
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -206,7 +234,7 @@ let to_string ?(minify = false) v =
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (string_of_bool x)
     | Num f -> Buffer.add_string b (number_to_string f)
-    | Str s -> Buffer.add_char b '"'; Buffer.add_string b (escape s); Buffer.add_char b '"'
+    | Str s -> Buffer.add_char b '"'; add_escaped b s; Buffer.add_char b '"'
     | Arr [] -> Buffer.add_string b "[]"
     | Arr items ->
       Buffer.add_char b '[';
@@ -229,7 +257,7 @@ let to_string ?(minify = false) v =
           if i > 0 then begin Buffer.add_char b ','; newline () end;
           indent (depth + 1);
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
+          add_escaped b k;
           Buffer.add_char b '"';
           Buffer.add_string b colon;
           go (depth + 1) v)

@@ -4,12 +4,16 @@
    Determinism contract: the output depends only on the input and the
    cache state at entry, never on --jobs. Three mechanisms deliver it:
 
-   - prepare (parse, registry/parse/lower, fingerprint) runs
-     sequentially in input order;
-   - requests with equal cache keys are deduped — the first becomes the
-     leader and is the only one submitted to the pool, the rest ride on
-     its result marked cached (exactly what a sequential run's cache
-     would have produced);
+   - prepare (parse, registry/parse/lower, fingerprint) runs on the
+     pool (on the calling thread at --jobs 1) but writes nothing to the
+     cache, and its results are stored
+     by input position, so each line's cache key is what a sequential
+     run would compute; an exception escaping prepare is re-raised from
+     the earliest line that raised;
+   - requests with equal cache keys are deduped, sequentially in input
+     order — the first becomes the leader and is the only one
+     scheduled, the rest ride on its result marked cached (exactly what
+     a sequential run's cache would have produced);
    - trace ids are assigned by input position (b-000001, …) and
      responses are emitted in input position order.
 
@@ -36,8 +40,95 @@ type item =
   | Bad of { id : string option; msg : string }
   | Leader of { prepared : Service.prepared; future : int }
       (* index into the futures array *)
-  | Follower of { prepared : Service.prepared; leader : int }
-      (* index into the items array *)
+  | Follower of { req : Protocol.request; leader : int }
+      (* index into the items array; the graph is not kept, only the
+         leader's is needed *)
+
+(* A line after pass 1: a request rejected at parse or prepare, a
+   prepared one, or the exception that escaped. *)
+type front =
+  | Rejected of { id : string option; msg : string }
+  | Ready of Service.prepared
+  | Raised of exn * Printexc.raw_backtrace
+
+(* Pass 1 for one line, timing parse and prepare into [sp]. *)
+let front service sp line =
+  let now = Telemetry.now_ns in
+  try
+    let tp = now () in
+    match Protocol.request_of_line line with
+    | Error msg ->
+      sp.Metrics.parse_ns <- now () - tp;
+      Rejected { id = None; msg }
+    | Ok req -> (
+      sp.Metrics.parse_ns <- now () - tp;
+      let tl = now () in
+      match Service.prepare service req with
+      | Error msg ->
+        sp.Metrics.prepare_ns <- now () - tl;
+        Rejected { id = req.Protocol.id; msg }
+      | Ok prepared ->
+        sp.Metrics.prepare_ns <- now () - tl;
+        Ready prepared)
+  with e -> Raised (e, Printexc.get_raw_backtrace ())
+
+(* Lines per pass-1 job: about four jobs per worker, so even a short
+   batch spreads over every worker, and at most 16 lines, so a long one
+   still balances. *)
+let chunk_size ~jobs n = max 1 (min 16 (n / (4 * jobs)))
+
+(* Pass 1 (parse + prepare) on the pool — on the calling thread at
+   [jobs = 1], where a one-worker pool would only add handoffs — then
+   the sequential dedupe by cache key. Returns the items, their spans
+   and the leaders to run, in input order. The prepared graphs of
+   followers are dropped here. *)
+let prepare_all service pool ~jobs lines =
+  let n = Array.length lines in
+  let spans = Array.init n (fun _ -> Metrics.span ()) in
+  let fronts = Array.make n (Rejected { id = None; msg = "" }) in
+  let prepare_range lo hi =
+    for i = lo to hi - 1 do
+      fronts.(i) <- front service spans.(i) lines.(i)
+    done
+  in
+  if jobs = 1 then prepare_range 0 n
+  else begin
+    let p = pool () in
+    let chunk = chunk_size ~jobs n in
+    let futs =
+      List.init ((n + chunk - 1) / chunk) (fun c ->
+          Pool.submit p (fun () ->
+              prepare_range (c * chunk) (min n ((c + 1) * chunk))))
+    in
+    List.iter
+      (fun fut ->
+        match Pool.await fut with
+        | Ok () -> ()
+        | Error e -> raise e)
+      futs
+  end;
+  let by_key = Hashtbl.create 16 in  (* cache key -> item index *)
+  let leaders = ref [] in  (* (prepared, span), reversed *)
+  let n_futures = ref 0 in
+  let items =
+    Array.mapi
+      (fun i f ->
+        match f with
+        | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+        | Rejected { id; msg } -> Bad { id; msg }
+        | Ready prepared -> (
+          let key = Service.key_of prepared in
+          match Hashtbl.find_opt by_key key with
+          | Some leader -> Follower { req = Service.request_of prepared; leader }
+          | None ->
+            Hashtbl.add by_key key i;
+            let fi = !n_futures in
+            incr n_futures;
+            leaders := (prepared, spans.(i)) :: !leaders;
+            Leader { prepared; future = fi }))
+      fronts
+  in
+  (items, spans, Array.of_list (List.rev !leaders))
 
 let run_lines ?pool service ~jobs lines =
   if jobs <= 0 then invalid_arg "Batch.run_lines: non-positive jobs";
@@ -45,47 +136,24 @@ let run_lines ?pool service ~jobs lines =
   let metrics = Service.metrics service in
   let now = Telemetry.now_ns in
   let lines =
-    List.filter (fun l -> String.trim l <> "") lines
+    Array.of_list (List.filter (fun l -> String.trim l <> "") lines)
   in
-  (* Pass 1, sequential: parse + prepare + dedupe by cache key. Each
-     line gets a span; this pass times parse and prepare. *)
-  let pending = ref [] in  (* leader (prepared, span) descriptors, reversed *)
-  let by_key = Hashtbl.create 16 in  (* cache key -> item index *)
-  let n_futures = ref 0 in
-  let tagged =
-    List.mapi
-      (fun i line ->
-        let sp = Metrics.span () in
-        let tp = now () in
-        let item =
-          match Protocol.request_of_line line with
-          | Error msg ->
-            sp.Metrics.parse_ns <- now () - tp;
-            Bad { id = None; msg }
-          | Ok req -> (
-            sp.Metrics.parse_ns <- now () - tp;
-            let tl = now () in
-            match Service.prepare service req with
-            | Error msg ->
-              sp.Metrics.lookup_ns <- now () - tl;
-              Bad { id = req.Protocol.id; msg }
-            | Ok prepared -> (
-              sp.Metrics.lookup_ns <- now () - tl;
-              let key = Service.key_of prepared in
-              match Hashtbl.find_opt by_key key with
-              | Some leader -> Follower { prepared; leader }
-              | None ->
-                Hashtbl.add by_key key i;
-                let fi = !n_futures in
-                incr n_futures;
-                pending := (prepared, sp) :: !pending;
-                Leader { prepared; future = fi }))
-        in
-        (item, sp))
-      lines
+  (* A caller-supplied pool (the daemon's, or the bench harness's
+     persistent one) is borrowed, not drained; otherwise a private pool
+     is created when first needed, serves passes 1 and 2, and is shut
+     down at the end. A warm batch at --jobs 1 never spawns one. *)
+  let private_pool = ref None in
+  let pool () =
+    match (pool, !private_pool) with
+    | Some p, _ | None, Some p -> p
+    | None, None ->
+      let p = Pool.create ~jobs () in
+      private_pool := Some p;
+      p
   in
-  let items = Array.of_list (List.map fst tagged) in
-  let spans = Array.of_list (List.map snd tagged) in
+  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown !private_pool)
+  @@ fun () ->
+  let items, spans, leaders = prepare_all service pool ~jobs lines in
   (* Pass 2: leaders whose result is already cached are answered inline
      (a hash lookup does not justify a worker-pool handoff — this is
      most of the warm path's throughput); the rest fan out to the pool.
@@ -100,7 +168,6 @@ let run_lines ?pool service ~jobs lines =
     Service.execute ?deadline ~span service prepared
   in
   let futures =
-    let leaders = Array.of_list (List.rev !pending) in
     let outcomes = Array.make (Array.length leaders) None in
     let cold = ref [] in
     Array.iteri
@@ -110,29 +177,17 @@ let run_lines ?pool service ~jobs lines =
             Some (try Ok (run_one ~span:sp prepared) with e -> Error e)
         else cold := (i, prepared, sp) :: !cold)
       leaders;
-    (match !cold with
-    | [] -> ()
-    | cold ->
-      (* A caller-supplied pool (the daemon's, or the bench harness's
-         persistent one) is borrowed, not drained; a private pool is
-         created and shut down here as before. *)
-      let p, owned =
-        match pool with
-        | Some p -> (p, false)
-        | None -> (Pool.create ~jobs (), true)
-      in
-      let futs =
-        List.rev_map
-          (fun (i, prepared, sp) ->
-            let enqueued = now () in
-            ( i,
-              Pool.submit p (fun () ->
-                  sp.Metrics.queue_ns <- now () - enqueued;
-                  run_one ~span:sp prepared) ))
-          cold
-      in
-      List.iter (fun (i, fut) -> outcomes.(i) <- Some (Pool.await fut)) futs;
-      if owned then Pool.shutdown p);
+    let futs =
+      List.rev_map
+        (fun (i, prepared, sp) ->
+          let enqueued = now () in
+          ( i,
+            Pool.submit (pool ()) (fun () ->
+                sp.Metrics.queue_ns <- now () - enqueued;
+                run_one ~span:sp prepared) ))
+        !cold
+    in
+    List.iter (fun (i, fut) -> outcomes.(i) <- Some (Pool.await fut)) futs;
     Array.map (function Some r -> r | None -> assert false) outcomes
   in
   (* Pass 3, sequential: render responses in input order, timing the
@@ -177,8 +232,7 @@ let run_lines ?pool service ~jobs lines =
                 cached,
                 degr,
                 design ))
-          | Follower { prepared; leader } -> (
-            let req = Service.request_of prepared in
+          | Follower { req; leader } -> (
             let design = Protocol.spec_label req.Protocol.spec in
             match outcome_of_item items.(leader) with
             | Error e ->
@@ -206,8 +260,8 @@ let run_lines ?pool service ~jobs lines =
         in
         sp.Metrics.emit_ns <- sp.Metrics.emit_ns + (now () - te);
         sp.Metrics.total_ns <-
-          sp.Metrics.parse_ns + sp.Metrics.lookup_ns + sp.Metrics.queue_ns
-          + sp.Metrics.schedule_ns + sp.Metrics.emit_ns;
+          sp.Metrics.parse_ns + sp.Metrics.prepare_ns + sp.Metrics.lookup_ns
+          + sp.Metrics.queue_ns + sp.Metrics.schedule_ns + sp.Metrics.emit_ns;
         (match metrics with
         | Some m ->
           Metrics.record m ~trace ~design ~ok:is_ok ~cached:is_cached

@@ -1,12 +1,13 @@
 (** NDJSON batch driver: request lines in, response lines out, fanned
     over the worker pool.
 
-    Deterministic by construction: preparation and fingerprinting run
-    sequentially in input order, identical requests are deduped onto one
-    scheduler run, trace ids are positional ([b-000001], …) and
-    responses come back in input order — so the output is byte-identical
-    for any [jobs], given the same entry cache state. Blank lines are
-    skipped without output. *)
+    Deterministic by construction: parsing, preparation and
+    fingerprinting run on the pool but write nothing to the cache and
+    are stored by input position, identical requests are then deduped
+    onto one scheduler run in input order, trace ids are positional
+    ([b-000001], …) and responses come back in input order — so the
+    output is byte-identical for any [jobs], given the same entry cache
+    state. Blank lines are skipped without output. *)
 
 type stats = {
   requests : int;
@@ -18,10 +19,13 @@ type stats = {
 
 val run_lines :
   ?pool:Pool.t -> Service.t -> jobs:int -> string list -> string list * stats
-(** [pool] lends an existing worker pool for the cold fan-out (it is
-    not shut down afterwards); by default a private [jobs]-wide pool is
-    created and drained per call. The response bytes are identical
-    either way.
+(** [pool] lends an existing worker pool for both the prepare pass and
+    the cold fan-out (it is not shut down afterwards); by default a
+    private [jobs]-wide pool is created when first needed and drained
+    per call. At [jobs = 1] the prepare pass runs on the calling
+    thread. The
+    response bytes are identical either way. An exception escaping
+    prepare is re-raised from the earliest line that raised it.
     @raise Invalid_argument on non-positive [jobs]. *)
 
 val run_channels : Service.t -> jobs:int -> in_channel -> out_channel -> stats

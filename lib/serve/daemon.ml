@@ -108,10 +108,10 @@ let answer_request t ~trace ~enqueued line =
       let t1 = now () in
       match Service.prepare t.service req with
       | Error msg ->
-        sp.Metrics.lookup_ns <- now () - t1;
+        sp.Metrics.prepare_ns <- now () - t1;
         fail ?id ~design msg
       | Ok prepared -> (
-        sp.Metrics.lookup_ns <- now () - t1;
+        sp.Metrics.prepare_ns <- now () - t1;
         let deadline =
           Option.map
             (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))

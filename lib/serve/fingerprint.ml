@@ -15,75 +15,112 @@ open Import
    and any single structural edit moves the hash with overwhelming
    probability (64-bit splitmix mixing). *)
 
-(* splitmix64 finalizer: a cheap full-avalanche 64-bit mixer. *)
-let mix (x : int64) : int64 =
+(* splitmix64 finalizer: a cheap full-avalanche 64-bit mixer. Inlined,
+   like [combine], so the [Int64] values stay unboxed in the loops
+   below. *)
+let[@inline] mix (x : int64) : int64 =
   let open Int64 in
   let x = add x 0x9e3779b97f4a7c15L in
   let x = mul (logxor x (shift_right_logical x 30)) 0xbf58476d1ce4e5b9L in
   let x = mul (logxor x (shift_right_logical x 27)) 0x94d049bb133111ebL in
   logxor x (shift_right_logical x 31)
 
-let combine h x = mix (Int64.add (Int64.mul h 0x100000001b3L) x)
+let[@inline] combine h x = mix (Int64.add (Int64.mul h 0x100000001b3L) x)
 
-let hash_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := combine !h (Int64.of_int (Char.code c)))
-    s;
+(* Folds the bytes of [s] into [h]: from the FNV offset basis, this is
+   the hash of [s]. *)
+let[@inline] fold_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := combine !h (Int64.of_int (Char.code (String.unsafe_get s i)))
+  done;
   !h
 
-let vertex_seed g v =
-  combine
-    (hash_string (Op.to_string (Graph.op g v)))
-    (Int64.of_int (Graph.delay g v))
+(* The hash of [Op.to_string op], without building the string for the
+   parameterised ops. *)
+let op_hash op =
+  let basis = 0xcbf29ce484222325L in
+  let wrapped prefix body = fold_string (fold_string (fold_string basis prefix) body) ")" in
+  match op with
+  | Op.Const c -> wrapped "const(" (string_of_int c)
+  | Op.Input s -> wrapped "in(" s
+  | Op.Output s -> wrapped "out(" s
+  | op -> fold_string basis (Op.to_string op)
 
-let signatures g =
+(* Signatures live unboxed, eight bytes per vertex. *)
+let[@inline] get b v = Bytes.get_int64_ne b (v lsl 3)
+let[@inline] set b v x = Bytes.set_int64_ne b (v lsl 3) x
+
+(* Signatures of every vertex. [acc] holds the running hash of the
+   vertex being folded, in unboxed storage, so the fold closures are
+   allocated once per call and not per vertex or per edge. *)
+let signature_bytes g =
   let n = Graph.n_vertices g in
-  let fwd = Array.make n 0L in
-  let order = Topo.sort g in
+  let order = Topo.order g in
+  let seed = Bytes.create (8 * n) in
+  for v = 0 to n - 1 do
+    set seed v (combine (op_hash (Graph.op g v)) (Int64.of_int (Graph.delay g v)))
+  done;
+  let acc = Bytes.create 8 in
   (* forward: operand-ordered fold over predecessor signatures *)
-  List.iter
-    (fun v ->
-      let h = ref (vertex_seed g v) in
-      Graph.iter_preds (fun p -> h := combine !h fwd.(p)) g v;
-      fwd.(v) <- mix !h)
-    order;
+  let fwd = Bytes.create (8 * n) in
+  let fold_pred p = set acc 0 (combine (get acc 0) (get fwd p)) in
+  for k = 0 to n - 1 do
+    let v = order.(k) in
+    set acc 0 (get seed v);
+    Graph.iter_preds fold_pred g v;
+    set fwd v (mix (get acc 0))
+  done;
   (* backward: commutative fold over successor signatures *)
-  let bwd = Array.make n 0L in
-  List.iter
-    (fun v ->
-      let h = ref 0L in
-      Graph.iter_succs (fun s -> h := Int64.add !h (mix bwd.(s))) g v;
-      bwd.(v) <- mix (combine (vertex_seed g v) !h))
-    (List.rev order);
-  Array.init n (fun v -> mix (combine fwd.(v) bwd.(v)))
+  let bwd = Bytes.create (8 * n) in
+  let fold_succ s = set acc 0 (Int64.add (get acc 0) (mix (get bwd s))) in
+  for k = n - 1 downto 0 do
+    let v = order.(k) in
+    set acc 0 0L;
+    Graph.iter_succs fold_succ g v;
+    set bwd v (mix (combine (get seed v) (get acc 0)))
+  done;
+  (* the signature overwrites the forward hash in place *)
+  for v = 0 to n - 1 do
+    set fwd v (mix (combine (get fwd v) (get bwd v)))
+  done;
+  fwd
+
+let signatures g = Array.init (Graph.n_vertices g) (get (signature_bytes g))
 
 let hash g =
-  let sigs = signatures g in
+  let sigs = signature_bytes g in
+  (* acc: the graph hash, then the signature of the vertex whose
+     operands are being folded *)
+  let acc = Bytes.create 16 in
   (* Commutative vertex and edge terms: insertion order washes out. *)
-  let h = ref (Int64.of_int (Graph.n_vertices g)) in
-  Array.iter (fun s -> h := Int64.add !h (mix s)) sigs;
+  set acc 0 (Int64.of_int (Graph.n_vertices g));
+  Graph.iter_vertices (fun v -> set acc 0 (Int64.add (get acc 0) (mix (get sigs v)))) g;
   (* Edges fold the operand slot in, so swapping the operands of a
      non-commutative op moves the hash even between sibling vertices
      with equal signatures. *)
+  let slot = ref 0 in
+  let edge_term p =
+    set acc 0
+      (Int64.add (get acc 0)
+         (mix (combine (combine (get sigs p) (get acc 1)) (Int64.of_int !slot))));
+    incr slot
+  in
   Graph.iter_vertices
     (fun v ->
-      let slot = ref 0 in
-      Graph.iter_preds
-        (fun p ->
-          h :=
-            Int64.add !h
-              (mix (combine (combine sigs.(p) sigs.(v)) (Int64.of_int !slot)));
-          incr slot)
-        g v)
+      set acc 1 (get sigs v);
+      slot := 0;
+      Graph.iter_preds edge_term g v)
     g;
-  mix !h
+  mix (get acc 0)
 
-let to_hex h = Printf.sprintf "%016Lx" h
+let to_hex h =
+  let digits = "0123456789abcdef" in
+  String.init 16 (fun i ->
+      digits.[Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 15])
 
 let key ?(meta = "topo") ~resources g =
-  Printf.sprintf "%s|%s|%s" (to_hex (hash g)) (Resources.to_string resources)
-    meta
+  String.concat "|" [ to_hex (hash g); Resources.to_string resources; meta ]
 
 (* Canonical serialization: vertices renamed n0, n1, ... in an
    order derived from the signatures (ties broken by original id, which

@@ -8,7 +8,8 @@ open Import
    cheap next to the microseconds even a warm request costs.
 
    Request threads fill in a [span] as the request moves through the
-   layers (daemon: parse/queue/emit, service: cache lookup/schedule)
+   layers (daemon/batch: parse/prepare/queue/emit, service: cache
+   lookup/schedule)
    and hand it to [record] exactly once, so every histogram counts each
    request exactly once and the phase breakdown sums to the work done.
 
@@ -24,7 +25,8 @@ module G = Telemetry.Gauge
    orders the worker's writes before the daemon thread's read. *)
 type span = {
   mutable parse_ns : int;  (* NDJSON line -> request *)
-  mutable lookup_ns : int;  (* prepare (memo, fingerprint) + cache find *)
+  mutable prepare_ns : int;  (* request -> cache key (graph, fingerprint) *)
+  mutable lookup_ns : int;  (* cache find *)
   mutable queue_ns : int;  (* pool submit -> job start *)
   mutable schedule_ns : int;  (* the scheduler proper, 0 on a warm hit *)
   mutable emit_ns : int;  (* response rendering *)
@@ -34,6 +36,7 @@ type span = {
 let span () =
   {
     parse_ns = 0;
+    prepare_ns = 0;
     lookup_ns = 0;
     queue_ns = 0;
     schedule_ns = 0;
@@ -52,6 +55,7 @@ type t = {
   started_at : float;
   (* histograms, one per phase, nanoseconds *)
   h_parse : H.t;
+  h_prepare : H.t;
   h_lookup : H.t;
   h_queue : H.t;
   h_schedule : H.t;
@@ -85,6 +89,7 @@ let create () =
     lock = Mutex.create ();
     started_at = Unix.gettimeofday ();
     h_parse = H.create ();
+    h_prepare = H.create ();
     h_lookup = H.create ();
     h_queue = H.create ();
     h_schedule = H.create ();
@@ -158,6 +163,7 @@ let slow_line ~trace ~design ~status ~cached ~degraded (sp : span) =
          ("degraded", Json.Bool degraded);
          ("total_ms", Json.num (ms sp.total_ns));
          ("parse_ms", Json.num (ms sp.parse_ns));
+         ("prepare_ms", Json.num (ms sp.prepare_ns));
          ("cache_lookup_ms", Json.num (ms sp.lookup_ns));
          ("queue_ms", Json.num (ms sp.queue_ns));
          ("schedule_ms", Json.num (ms sp.schedule_ns));
@@ -173,6 +179,7 @@ let record t ~trace ~design ~ok:is_ok ~cached ~degraded (sp : span) =
       if cached then t.cached <- t.cached + 1;
       if degraded then t.degraded <- t.degraded + 1;
       H.record t.h_parse sp.parse_ns;
+      H.record t.h_prepare sp.prepare_ns;
       H.record t.h_lookup sp.lookup_ns;
       H.record t.h_queue sp.queue_ns;
       H.record t.h_schedule sp.schedule_ns;
@@ -224,6 +231,7 @@ let retry_after_ms t ~queue_depth =
 let phases t =
   [
     ("parse", t.h_parse);
+    ("prepare", t.h_prepare);
     ("cache_lookup", t.h_lookup);
     ("queue_wait", t.h_queue);
     ("schedule", t.h_schedule);

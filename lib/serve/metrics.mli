@@ -1,6 +1,6 @@
 (** The serving layer's runtime metrics plane.
 
-    Per-request phase latencies (parse → cache lookup → queue wait →
+    Per-request phase latencies (parse → prepare → cache lookup → queue wait →
     schedule → emit, plus the request total) land in log-bucketed
     {!Telemetry.Histogram}s; pool queue depth, in-flight requests, live
     connections and cache occupancy are {!Telemetry.Gauge}s; outcomes
@@ -17,12 +17,15 @@
 open Import
 
 (** Per-request phase timings in nanoseconds. Each layer fills in its
-    own phase as the request passes through (daemon/batch: parse, queue
-    wait, emit, total; service: cache lookup, schedule), then the owner
+    own phase as the request passes through (daemon/batch: parse,
+    prepare, queue wait, emit, total; service: cache lookup, schedule),
+    then the owner
     hands the span to {!record} exactly once. *)
 type span = {
   mutable parse_ns : int;
-  mutable lookup_ns : int;
+  mutable prepare_ns : int;
+      (** request -> cache key: graph build or [.dfg] parse, fingerprint *)
+  mutable lookup_ns : int;  (** the cache find alone *)
   mutable queue_ns : int;
   mutable schedule_ns : int;
   mutable emit_ns : int;

@@ -795,6 +795,166 @@ let prop_serial_roundtrip_iso =
                && sorted_pred_names g v = sorted_pred_names h w)
            (Graph.vertices g))
 
+(* The line-splitting parser [Dfg.Serial.of_string] replaced, kept
+   verbatim as the oracle of the one-pass parser: on any document both
+   build the same graph or raise the same message. *)
+exception Reference_parse_error of string
+
+let reference_of_string text =
+  let g = Graph.create () in
+  let by_name = Hashtbl.create 32 in
+  let fail line msg =
+    raise (Reference_parse_error (Printf.sprintf "line %d: %s" line msg))
+  in
+  let lookup line name =
+    match Hashtbl.find_opt by_name name with
+    | Some v -> v
+    | None -> fail line (Printf.sprintf "undeclared vertex %S" name)
+  in
+  List.iteri
+    (fun index raw ->
+      let line = index + 1 in
+      let content =
+        match String.index_opt raw '#' with
+        | Some i -> String.sub raw 0 i
+        | None -> raw
+      in
+      let words =
+        List.filter (fun w -> w <> "") (String.split_on_char ' '
+          (String.map (fun c -> if c = '\t' then ' ' else c) content))
+      in
+      match words with
+      | [] -> ()
+      | "vertex" :: name :: op_text :: rest ->
+        if Hashtbl.mem by_name name then
+          fail line (Printf.sprintf "duplicate vertex %S" name);
+        let op =
+          match Op.of_string op_text with
+          | Some op -> op
+          | None -> fail line (Printf.sprintf "unknown op %S" op_text)
+        in
+        let delay =
+          match rest with
+          | [] -> None
+          | [ d ] ->
+            (match int_of_string_opt d with
+            | Some d when d >= 0 -> Some d
+            | Some _ -> fail line "negative delay"
+            | None -> fail line (Printf.sprintf "bad delay %S" d))
+          | _ -> fail line "trailing tokens after delay"
+        in
+        let v = Graph.add_vertex g ?delay ~name op in
+        Hashtbl.replace by_name name v
+      | [ "edge"; src; dst ] ->
+        let u = lookup line src and v = lookup line dst in
+        (try Graph.add_edge g u v
+         with Invalid_argument m -> fail line m)
+      | word :: _ -> fail line (Printf.sprintf "unknown directive %S" word))
+    (String.split_on_char '\n' text);
+  g
+
+(* Random .dfg documents, valid and malformed: names come from a small
+   pool so duplicates, undeclared names, repeated edges and self loops
+   are common; words are separated by runs of ' ' and '\t'; lines may
+   carry comments, a trailing '\r' or trailing tokens. *)
+let serial_document =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "x1"; "vertex"; "a\r" ] in
+  let op =
+    frequency
+      [
+        (6, oneofl [ "add"; "sub"; "mul"; "lt"; "xor"; "ld"; "wd" ]);
+        ( 3,
+          oneofl
+            [ "const(3)"; "const(-2)"; "in(x)"; "out(y)"; "in(a b)"; "out()" ] );
+        (1, oneofl [ "banana"; "const(x)"; "const()"; "in("; "ADD"; "add\r" ]);
+      ]
+  in
+  let delay =
+    frequency
+      [
+        (6, map string_of_int (int_range 0 9));
+        ( 2,
+          oneofl
+            [ "-1"; "x"; "007"; "1\r"; "+3"; "0x2"; "1_0"; "-0";
+              "99999999999999999999"; "123456789012345678" ] );
+      ]
+  in
+  let sep = oneofl [ " "; " "; " "; "\t"; "  "; " \t " ] in
+  let join words =
+    sep >>= fun s0 ->
+    let rec go acc = function
+      | [] -> return acc
+      | [ w ] -> return (acc ^ w)
+      | w :: rest -> sep >>= fun s -> go (acc ^ w ^ s) rest
+    in
+    go "" words >>= fun body ->
+    frequency [ (3, return ""); (1, return s0) ] >>= fun lead ->
+    return (lead ^ body)
+  in
+  let line =
+    frequency
+      [
+        (6, map3 (fun n o d -> [ "vertex"; n; o; d ]) name op delay);
+        (3, map2 (fun n o -> [ "vertex"; n; o ]) name op);
+        (1, map (fun n -> [ "vertex"; n ]) name);
+        (1, map3 (fun n o d -> [ "vertex"; n; o; d; "extra" ]) name op delay);
+        (8, map2 (fun u v -> [ "edge"; u; v ]) name name);
+        (1, map (fun u -> [ "edge"; u ]) name);
+        (1, map3 (fun u v w -> [ "edge"; u; v; w ]) name name name);
+        (1, return [ "frob"; "a" ]);
+        (2, return []);
+      ]
+    >>= join
+    >>= fun body ->
+    frequency
+      [
+        (6, return body);
+        (1, return (body ^ "\r"));
+        (1, return (body ^ " # note"));
+        (1, return (body ^ "#edge a b"));
+        (1, return ("# " ^ body));
+      ]
+  in
+  list_size (int_range 0 14) line >>= fun lines ->
+  bool >>= fun final_newline ->
+  return (String.concat "\n" lines ^ if final_newline then "\n" else "")
+
+(* Everything a parse result exposes: names, ops, delays, operand-ordered
+   preds, succ order and the edge count. *)
+let graph_dump g =
+  ( Graph.n_edges g,
+    List.map
+      (fun v ->
+        ( Graph.name g v,
+          Op.to_string (Graph.op g v),
+          Graph.delay g v,
+          Graph.preds g v,
+          Graph.succs g v ))
+      (Graph.vertices g) )
+
+let prop_serial_parser_oracle =
+  QCheck.Test.make ~name:"one-pass Serial parser matches the line splitter"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") serial_document)
+    (fun text ->
+      let outcome parse error =
+        match parse text with
+        | g -> Ok (graph_dump g)
+        | exception e -> (
+          match error e with Some m -> Error m | None -> raise e)
+      in
+      let expected =
+        outcome reference_of_string (function
+          | Reference_parse_error m -> Some m
+          | _ -> None)
+      and got =
+        outcome Dfg.Serial.of_string (function
+          | Dfg.Serial.Parse_error m -> Some m
+          | _ -> None)
+      in
+      expected = got)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -809,6 +969,7 @@ let qcheck_cases =
       prop_eval_deterministic;
       prop_reduction_preserves_reachability;
       prop_serial_roundtrip_iso;
+      prop_serial_parser_oracle;
     ]
 
 let () =

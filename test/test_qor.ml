@@ -56,6 +56,87 @@ let test_json_rejects () =
       "{\"a\" 1}"; "[1 2]"; "+5";
     ]
 
+(* Malformed strings fail with [Parse_error] alone, at the byte offset
+   the scanner stopped on — including an escape-free run that reaches
+   the end of the input. *)
+let test_json_string_errors () =
+  List.iter
+    (fun (input, expect) ->
+      match Json.parse input with
+      | v ->
+        Alcotest.failf "accepted %S as %s" input (Json.to_string ~minify:true v)
+      | exception Json.Parse_error m -> check Alcotest.string input expect m)
+    [
+      ({|"abc|}, "unterminated string at byte 4");
+      ({|"|}, "unterminated string at byte 1");
+      ({|"a\nbc|}, "unterminated string at byte 6");
+      ({|{"key|}, "unterminated string at byte 5");
+      ({|"ab\|}, "bad escape at byte 4");
+      ({|"\q"|}, "bad escape at byte 2");
+      ({|"\u12|}, "truncated \\u escape at byte 3");
+      ({|"x\u|}, "truncated \\u escape at byte 4");
+      ({|"\uzzzz"|}, "bad \\u escape at byte 3");
+    ]
+
+(* Random byte strings built to stress the escape-free-run scanner:
+   quotes, backslashes, control characters, high bytes and literal
+   "\u00.." text. *)
+let json_string_gen =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (4, string_size ~gen:(char_range 'a' 'z') (int_range 0 12));
+        (2, oneofl [ "\""; "\\"; "\\u00e9"; "\\u"; "\\\\"; "/" ]);
+        (2, map (String.make 1) (map Char.chr (int_range 0 31)));
+        (1, map (String.make 1) (map Char.chr (int_range 128 255)));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 10) piece)
+
+let prop_json_string_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string (Str s)) = Str s" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") json_string_gen)
+    (fun s ->
+      Json.parse (Json.to_string (Json.Str s)) = Json.Str s
+      && Json.parse (Json.to_string ~minify:true (Json.Obj [ (s, Json.Str s) ]))
+         = Json.Obj [ (s, Json.Str s) ])
+
+(* The other direction: a string literal assembled from raw runs and
+   every escape form decodes to the bytes the escapes stand for. *)
+let prop_json_escape_decoding =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        ( 3,
+          map
+            (fun s -> (s, s))
+            (string_size ~gen:(char_range ' ' '~') (int_range 0 8)
+            |> map (String.map (function '"' | '\\' -> '_' | c -> c))) );
+        ( 2,
+          oneofl
+            [
+              ({|\n|}, "\n"); ({|\t|}, "\t"); ({|\r|}, "\r"); ({|\b|}, "\b");
+              ({|\f|}, "\012"); ({|\/|}, "/"); ({|\\|}, "\\"); ({|\"|}, "\"");
+            ] );
+        ( 2,
+          map
+            (fun c -> (Printf.sprintf "\\u%04X" c, String.make 1 (Char.chr c)))
+            (int_range 0 127) );
+        (1, return ({|é|}, "\xc3\xa9"));
+        (1, return ({|€|}, "\xe2\x82\xac"));
+      ]
+  in
+  let doc = list_size (int_range 0 8) piece in
+  QCheck.Test.make ~name:"escapes decode, raw runs copy through" ~count:1000
+    (QCheck.make
+       ~print:(fun ps -> String.concat "" (List.map fst ps))
+       doc)
+    (fun ps ->
+      let text = "\"" ^ String.concat "" (List.map fst ps) ^ "\"" in
+      Json.parse text = Json.Str (String.concat "" (List.map snd ps)))
+
 let test_json_numbers () =
   (* integral floats print without a decimal point and survive *)
   check Alcotest.string "integral" "1234567" (Json.to_string (Json.int 1234567));
@@ -299,7 +380,10 @@ let () =
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
           Alcotest.test_case "number printing" `Quick test_json_numbers;
-        ] );
+          Alcotest.test_case "string errors" `Quick test_json_string_errors;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_json_string_roundtrip; prop_json_escape_decoding ] );
       ( "report schema",
         [
           Alcotest.test_case "emit + parse round-trip" `Quick

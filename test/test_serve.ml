@@ -102,6 +102,39 @@ let test_fingerprint_key () =
   check Alcotest.bool "resources are part of the key" false
     (Fingerprint.key ~resources:r2 g = k)
 
+(* Hash values pinned from an earlier build: a rewrite of the
+   fingerprint must not move a single bit, or caches saved before it
+   (whose keys embed the hash) would silently go cold. *)
+let test_fingerprint_pinned () =
+  let pin name g expect =
+    check Alcotest.string name expect (Fingerprint.to_hex (Fingerprint.hash g))
+  in
+  List.iter
+    (fun (name, expect) ->
+      pin name ((Hls_bench.Suite.find name).Hls_bench.Suite.build ()) expect)
+    [
+      ("HAL", "74fe8f1615031557");
+      ("AR", "47572412d611bead");
+      ("EF", "07ade47e8e88aee6");
+      ("FIR", "99d356a335c047e5");
+      ("DCT", "77f84307538f3113");
+      ("IIR", "81f70d6c51beec17");
+      ("MM3", "d4a56481c712805c");
+      ("CONV", "e7f23c10e8bd0ef9");
+    ];
+  let layered =
+    Generate.layered (Random.State.make [| 42 |]) ~layers:12 ~width:15 ~fanin:3
+  in
+  check Alcotest.(pair int int) "layered shape" (180, 495)
+    (Graph.n_vertices layered, Graph.n_edges layered);
+  pin "layered" layered "2580671d2a63a6b4";
+  let random =
+    Generate.random_dag (Random.State.make [| 7 |]) ~n:150 ~edge_prob:0.04
+  in
+  check Alcotest.(pair int int) "random_dag shape" (150, 468)
+    (Graph.n_vertices random, Graph.n_edges random);
+  pin "random_dag" random "c64f63e15f3c494d"
+
 (* --- fingerprint properties ----------------------------------------- *)
 
 let seeded_dag =
@@ -838,7 +871,57 @@ let test_batch_deterministic_across_jobs () =
   (* The duplicate's response differs from the leader's only in id,
      trace and cached flag. *)
   check Alcotest.bool "dup marked cached" true
-    (contains (List.nth out1 2) {|"cached":true|})
+    (contains (List.nth out1 2) {|"cached":true|});
+  (* Inline DAGs (fresh, reordered and exact repeats) against a warm
+     cache too small for the batch's distinct keys, so entries are
+     evicted while the batch runs: still identical at any --jobs. *)
+  let dags =
+    List.init 6 (fun i ->
+        let rng = Random.State.make [| i |] in
+        if i mod 2 = 0 then Generate.layered rng ~layers:4 ~width:5 ~fanin:2
+        else Generate.random_dag rng ~n:20 ~edge_prob:0.2)
+  in
+  let inline_line id text =
+    Json.to_string ~minify:true
+      (Json.Obj [ ("id", Json.str id); ("dfg", Json.str text) ])
+  in
+  (* vertex declarations reversed, names and edges kept *)
+  let reordered g =
+    let lines = String.split_on_char '\n' (Serial.to_string g) in
+    let vertices, rest =
+      List.partition (fun l -> String.length l > 7 && String.sub l 0 7 = "vertex ") lines
+    in
+    String.concat "\n" (List.rev vertices @ rest)
+  in
+  let inline_lines =
+    List.concat
+      (List.mapi
+         (fun i g ->
+           let text = Serial.to_string g in
+           [
+             inline_line (Printf.sprintf "d%d" i) text;
+             inline_line (Printf.sprintf "d%d-reordered" i) (reordered g);
+             {|{"id":"h","design":"HAL"}|};
+             inline_line (Printf.sprintf "d%d-dup" i) text;
+           ])
+         dags)
+  in
+  let warm_lines = [ List.nth inline_lines 0; List.nth inline_lines 4 ] in
+  let run_warm jobs =
+    let service = Service.create ~cache_capacity:3 () in
+    ignore (Batch.run_lines service ~jobs:1 warm_lines);
+    let out, stats = Batch.run_lines service ~jobs inline_lines in
+    (out, stats, (Service.cache_stats service).Cache.evictions)
+  in
+  let w1, wstats1, evictions = run_warm 1 in
+  let w2, _, _ = run_warm 2 in
+  let w8, _, _ = run_warm 8 in
+  check Alcotest.(list string) "inline: jobs=2 equals jobs=1" w1 w2;
+  check Alcotest.(list string) "inline: jobs=8 equals jobs=1" w1 w8;
+  check Alcotest.bool "the cache evicted" true (evictions > 0);
+  check Alcotest.int "all inline lines answered" 24 wstats1.Batch.requests;
+  check Alcotest.bool "pre-warmed entries hit" true
+    (contains (List.hd w1) {|"cached":true|})
 
 let test_batch_warm_hit_rate () =
   let service = Service.create () in
@@ -957,7 +1040,8 @@ let test_metrics_snapshot_and_prometheus () =
   let record ?(ok = true) ?(cached = false) total_ns =
     let sp = Metrics.span () in
     sp.Metrics.parse_ns <- 1_000;
-    sp.Metrics.lookup_ns <- 2_000;
+    sp.Metrics.prepare_ns <- 1_500;
+    sp.Metrics.lookup_ns <- 500;
     sp.Metrics.schedule_ns <- (if cached then 0 else total_ns / 2);
     sp.Metrics.emit_ns <- 500;
     sp.Metrics.total_ns <- total_ns;
@@ -991,7 +1075,8 @@ let test_metrics_snapshot_and_prometheus () =
         (phase ^ " histogram counts every request")
         3
         (json_int j [ "latency_ms"; phase; "count" ]))
-    [ "parse"; "cache_lookup"; "queue_wait"; "schedule"; "emit"; "total" ];
+    [ "parse"; "prepare"; "cache_lookup"; "queue_wait"; "schedule"; "emit";
+      "total" ];
   (* Prometheus exposition: histogram family present, +Inf closes each
      phase at the total count. *)
   let prom = Metrics.to_prometheus m in
@@ -1310,6 +1395,8 @@ let () =
           Alcotest.test_case "operand order" `Quick
             test_fingerprint_operand_order;
           Alcotest.test_case "cache key" `Quick test_fingerprint_key;
+          Alcotest.test_case "pinned hash values" `Quick
+            test_fingerprint_pinned;
         ] );
       ( "cache",
         [
