@@ -69,20 +69,6 @@ let add_name g names k v =
       old
   end
 
-(* Plain decimal digits parse in place; anything else (signs, radix
-   prefixes, underscores, overflow) goes through [int_of_string_opt],
-   whose verdict is the format's definition. *)
-let rec digits text s e k acc =
-  if k = e then Some acc
-  else
-    match String.unsafe_get text k with
-    | '0' .. '9' as c -> digits text s e (k + 1) ((10 * acc) + Char.code c - 48)
-    | _ -> int_of_string_opt (String.sub text s (e - s))
-
-let delay_of text s e =
-  if e - s <= 18 then digits text s e s 0
-  else int_of_string_opt (String.sub text s (e - s))
-
 (* The current line's word bounds, kept for its first [max_words]
    words: no directive reads further, and a count past it is only ever
    "too many". [cursor] ends on the line's '\n' (or the end of the
@@ -135,7 +121,7 @@ let rec words ln i count =
 
 (* One pass over [text]: each line is cut into word bounds, then its
    directive is read off the bounds. Strings are allocated only for
-   declared vertex names and op text. *)
+   declared vertex names, op text and delays. *)
 let of_string text =
   let n = String.length text in
   let g = Graph.create () in
@@ -167,10 +153,11 @@ let of_string text =
       let delay =
         if count = 3 then None
         else if count = 4 then
-          match delay_of text ln.starts.(3) ln.stops.(3) with
+          let delay_text = word 3 in
+          match int_of_string_opt delay_text with
           | Some d when d >= 0 -> Some d
           | Some _ -> fail line "negative delay"
-          | None -> fail line (Printf.sprintf "bad delay %S" (word 3))
+          | None -> fail line (Printf.sprintf "bad delay %S" delay_text)
         else fail line "trailing tokens after delay"
       in
       add_name g names k (Graph.add_vertex g ?delay ~name:(word 1) op)

@@ -192,30 +192,21 @@ let parse_result s =
 
 (* --- printing ------------------------------------------------------- *)
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
-
-(* Appends [s] JSON-escaped (without the quotes), copying escape-free
-   runs whole. *)
-let add_escaped b s =
-  let n = String.length s in
-  let rec go from i =
-    if i >= n then Buffer.add_substring b s from (n - from)
-    else
-      let c = String.unsafe_get s i in
-      if not (needs_escape c) then go from (i + 1)
-      else begin
-        Buffer.add_substring b s from (i - from);
-        (match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)));
-        go (i + 1) (i + 1)
-      end
-  in
-  go 0 0
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -234,7 +225,7 @@ let to_string ?(minify = false) v =
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (string_of_bool x)
     | Num f -> Buffer.add_string b (number_to_string f)
-    | Str s -> Buffer.add_char b '"'; add_escaped b s; Buffer.add_char b '"'
+    | Str s -> Buffer.add_char b '"'; Buffer.add_string b (escape s); Buffer.add_char b '"'
     | Arr [] -> Buffer.add_string b "[]"
     | Arr items ->
       Buffer.add_char b '[';
@@ -257,7 +248,7 @@ let to_string ?(minify = false) v =
           if i > 0 then begin Buffer.add_char b ','; newline () end;
           indent (depth + 1);
           Buffer.add_char b '"';
-          add_escaped b k;
+          Buffer.add_string b (escape k);
           Buffer.add_char b '"';
           Buffer.add_string b colon;
           go (depth + 1) v)
