@@ -1202,7 +1202,6 @@ let sections =
   ]
 
 let () =
-  Modulo.Engine.ensure_registered ();
   let json_file = ref "" in
   let only = ref [] in
   let list_sections () =

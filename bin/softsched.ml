@@ -277,7 +277,7 @@ let run_schedule design resources meta_s scheduler engine race seed tel =
                   let a = o.Soft.Engine.annot in
                   Printf.printf "  %-16s %4d csteps %4d regs %10.3f ms%s\n"
                     e.Serve.Race.engine a.Soft.Engine.csteps
-                    a.Soft.Engine.registers
+                    a.registers
                     (a.Soft.Engine.wall_s *. 1000.)
                     (if a.Soft.Engine.optimal then "  optimal" else "")
                 | None ->
@@ -330,7 +330,7 @@ let run_schedule design resources meta_s scheduler engine race seed tel =
   (match annot with
   | Some (a : Soft.Engine.annotations) ->
     Printf.printf "engine: %s (%d registers, %.3f ms%s%s)\n"
-      a.Soft.Engine.engine a.Soft.Engine.registers
+      a.Soft.Engine.engine a.registers
       (a.Soft.Engine.wall_s *. 1000.)
       (if a.Soft.Engine.optimal then ", optimal" else "")
       (if a.Soft.Engine.degraded then ", degraded" else "")
@@ -1180,7 +1180,6 @@ let is_broken_pipe m =
   at 0
 
 let () =
-  Modulo.Engine.ensure_registered ();
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let doc = "soft (threaded) scheduling for high level synthesis" in

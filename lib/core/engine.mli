@@ -3,7 +3,7 @@ open Import
 (** The scheduler portfolio: every engine in the repo — the paper's
     threaded scheduler, the traditional baselines, and the global
     optimisers it is compared against — behind one first-class
-    signature and a registry, so the CLI, the serving layer and the
+    signature and a static table, so the CLI, the serving layer and the
     bench can treat "which scheduler" as a parameter.
 
     An engine maps [(resources, graph)] to a hard {!Schedule.t} under a
@@ -105,13 +105,16 @@ val peak_live : Graph.t -> Schedule.t -> int
     any cycle (a value is live from its producer's finish to its last
     consumer's start; sink values occupy nothing). *)
 
-(** {2 Registry} *)
+(** {2 The engine table}
 
-val register : engine -> unit
-(** @raise Invalid_argument on a duplicate name. *)
+    One constant list: this library's engines plus [modulo], the
+    iterative modulo scheduler of [lib/modulo] run on a DAG as a loop
+    body with independent iterations. Nothing registers at startup, so
+    every binary that links [soft] sees the whole portfolio. *)
 
 val all : unit -> engine list
-(** Registration order; the built-ins come first, [soft] leading. *)
+(** Table order: [soft], [naive], [search], [anneal], [list], [fdls],
+    [force_directed], [bnb], [modulo]. *)
 
 val names : unit -> string list
 
@@ -122,8 +125,7 @@ val of_string : string -> (engine, string) result
 (** The CLI/protocol spelling: canonical names plus the aliases
     [threaded]→[soft], [sa]/[annealing]→[anneal],
     [exact]/[bb]/[exhaustive]→[bnb], [fds]/[force]→[force_directed],
-    [ims]/[loop]→[modulo] (registered by [lib/modulo] at startup).
-    The error names the known engines. *)
+    [ims]/[loop]→[modulo]. The error names the known engines. *)
 
 (** {2 The shared threaded run} *)
 

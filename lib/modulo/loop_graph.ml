@@ -200,29 +200,6 @@ let of_dag ?(carries = []) dag =
     carries;
   g
 
-let to_seq_graph g =
-  let sq = Retime.Seq_graph.create () in
-  iter_vertices
-    (fun v ->
-      ignore
-        (Retime.Seq_graph.add_vertex sq ~delay:g.delays.(v) ~name:g.names.(v)
-           g.ops.(v)))
-    g;
-  (* Seq_graph keeps one edge per pair: collapse parallel edges to the
-     minimum distance, the binding constraint (it decides both
-     well-formedness and the recurrence bound). *)
-  let min_dist = Hashtbl.create 16 in
-  iter_edges
-    (fun u v d ->
-      match Hashtbl.find_opt min_dist (u, v) with
-      | Some d' when d' <= d -> ()
-      | _ -> Hashtbl.replace min_dist (u, v) d)
-    g;
-  Hashtbl.iter
-    (fun (u, v) d -> Retime.Seq_graph.add_edge sq u v ~weight:d)
-    min_dist;
-  sq
-
 let unroll g ~iterations =
   if iterations < 1 then invalid_arg "Loop_graph.unroll: iterations must be >= 1";
   (match well_formed g with

@@ -1,6 +1,6 @@
 open Import
 
-(** Cyclic dataflow graphs for loop pipelining.
+(** Cyclic dataflow graphs: the repository's one cyclic graph type.
 
     A loop graph is the dependence graph of one loop iteration whose
     edges carry an {e iteration distance}: an edge [(u, v)] with
@@ -10,10 +10,15 @@ open Import
     [d >= 1] are the loop-carried recurrences. Vertices follow the
     repository delay model ({!Dfg.Delay}).
 
-    Well-formedness mirrors {!Retime.Seq_graph}: every cycle must carry
-    a total distance of at least one (equivalently, the distance-0
-    subgraph is a DAG) — a zero-distance cycle would make the iteration
-    depend on itself. Self-loops therefore need [distance >= 1].
+    The same graph read as a synchronous circuit is the retiming
+    substrate ([Retime.Retimer]): the distance of an edge is its
+    register count, the distance-0 body is the combinational logic.
+
+    Well-formedness: every cycle must carry a total distance of at
+    least one (equivalently, the distance-0 subgraph is a DAG) — a
+    zero-distance cycle would make the iteration depend on itself (a
+    combinational loop, in circuit terms). Self-loops therefore need
+    [distance >= 1].
 
     Vertices are dense integer ids; predecessor lists keep insertion
     (operand) order, like {!Dfg.Graph}. *)
@@ -84,13 +89,6 @@ val of_dag : ?carries:(Graph.vertex * Graph.vertex * int) list -> Graph.t -> t
     Invalid_argument if a carry has distance < 1 or names an unknown
     vertex. With no carries, iterations are independent and only
     resources bound the initiation interval. *)
-
-val to_seq_graph : t -> Retime.Seq_graph.t
-(** Bridge to the retiming substrate: iteration distance becomes the
-    edge register count (a value carried [d] iterations crosses [d]
-    registers). {!Retime.Seq_graph} keeps one edge per vertex pair, so
-    parallel edges collapse to their {e minimum} distance — the binding
-    constraint; well-formedness is preserved exactly. *)
 
 val unroll : t -> iterations:int -> Graph.t * Graph.vertex array array
 (** Flatten [iterations >= 1] consecutive iterations into one DAG:

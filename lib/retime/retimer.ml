@@ -1,50 +1,95 @@
 open Import
 
-(* Combinational arrival times of a retimed graph: longest zero-weight
-   path ending at each vertex, inclusive of its own delay. *)
-let arrivals g =
-  let dag, map = Seq_graph.combinational_slice g in
-  let sdist = Paths.source_distances dag in
-  Array.init (Seq_graph.n_vertices g) (fun v -> sdist.(map.(v)))
+(* Leiserson–Saxe retiming: edge (u, v) gets weight w + lag(v) - lag(u). *)
+let retime g ~lag =
+  if Array.length lag <> Loop_graph.n_vertices g then
+    invalid_arg "Retimer.retime: lag vector size mismatch";
+  let retimed = Loop_graph.create () in
+  Loop_graph.iter_vertices
+    (fun v ->
+      ignore
+        (Loop_graph.add_vertex retimed ~delay:(Loop_graph.delay g v)
+           ~name:(Loop_graph.name g v) (Loop_graph.op g v)))
+    g;
+  Loop_graph.iter_edges
+    (fun u v w ->
+      let w' = w + lag.(v) - lag.(u) in
+      if w' < 0 then
+        invalid_arg
+          (Printf.sprintf "Retimer.retime: edge %s -> %s gets weight %d"
+             (Loop_graph.name g u) (Loop_graph.name g v) w');
+      Loop_graph.add_edge retimed ~distance:w' u v)
+    g;
+  retimed
+
+(* The schedule input. Its vertex and edge order is load-bearing (the
+   threaded scheduler breaks ties by it): every vertex in id order, then
+   one walk over the edges adding each register-free edge, or a fresh
+   [Op.Input "rK"] vertex feeding the consumer for each registered one. *)
+let combinational_slice g =
+  (match Loop_graph.well_formed g with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Retimer.combinational_slice: " ^ m));
+  let dag = Graph.create () in
+  Loop_graph.iter_vertices
+    (fun v ->
+      ignore
+        (Graph.add_vertex dag ~delay:(Loop_graph.delay g v)
+           ~name:(Loop_graph.name g v) (Loop_graph.op g v)))
+    g;
+  let register_count = ref 0 in
+  Loop_graph.iter_edges
+    (fun u v w ->
+      if w = 0 then Graph.add_edge dag u v
+      else begin
+        (* a registered input: the value arrives from a previous tick *)
+        incr register_count;
+        let r =
+          Graph.add_vertex dag
+            ~name:(Printf.sprintf "r%d_%s" !register_count (Loop_graph.name g u))
+            (Op.Input (Printf.sprintf "r%d" !register_count))
+        in
+        Graph.add_edge dag r v
+      end)
+    g;
+  dag
+
+let combinational_period g = Paths.diameter (Loop_graph.body g)
 
 (* Environment (host) vertices keep lag 0: retiming must not change the
    design's I/O latency, only move the internal registers
    (Leiserson–Saxe's host convention). *)
 let is_host g v =
-  match Seq_graph.op g v with
+  match Loop_graph.op g v with
   | Op.Input _ | Op.Output _ -> true
   | _ -> false
 
 let feas g ~period =
-  let n = Seq_graph.n_vertices g in
+  let n = Loop_graph.n_vertices g in
   let lag = Array.make n 0 in
   let current = ref g in
   let iterations = max 1 (n - 1) in
   let legal = ref true in
   (try
      for _ = 1 to iterations do
-       let delta = arrivals !current in
+       (* combinational arrival times: longest register-free path ending
+          at each vertex, inclusive of its own delay *)
+       let delta = Paths.source_distances (Loop_graph.body !current) in
        Array.iteri
          (fun v d ->
            if d > period && not (is_host g v) then lag.(v) <- lag.(v) + 1)
          delta;
-       current := Seq_graph.retime g ~lag
+       current := retime g ~lag
      done
    with Invalid_argument _ -> legal := false);
   if not !legal then None
-  else begin
-    let final = Seq_graph.retime g ~lag in
-    if Seq_graph.combinational_period final <= period then Some lag
-    else None
-  end
+  else if combinational_period (retime g ~lag) <= period then Some lag
+  else None
 
 let min_period g =
-  let upper = Seq_graph.combinational_period g in
+  let upper = combinational_period g in
   let lower =
-    List.fold_left
-      (fun acc v -> max acc (Seq_graph.delay g v))
-      1
-      (List.init (Seq_graph.n_vertices g) Fun.id)
+    Loop_graph.fold_vertices (fun acc v -> max acc (Loop_graph.delay g v)) 1 g
   in
   let rec search lo hi best =
     if lo > hi then best
@@ -55,7 +100,7 @@ let min_period g =
       | None -> search (mid + 1) hi best
     end
   in
-  search lower upper (upper, Array.make (Seq_graph.n_vertices g) 0)
+  search lower upper (upper, Array.make (Loop_graph.n_vertices g) 0)
 
 type outcome = {
   lag : int array;
@@ -66,28 +111,25 @@ type outcome = {
 }
 
 let slice_csteps ~resources g =
-  let dag, _ = Seq_graph.combinational_slice g in
-  Schedule.length (Scheduler.run_to_schedule ~resources dag)
+  Schedule.length
+    (Scheduler.run_to_schedule ~resources (combinational_slice g))
 
 let constrained ~resources g =
-  let period_before = Seq_graph.combinational_period g in
+  let period_before = combinational_period g in
   let csteps_before = slice_csteps ~resources g in
   let best_period, _ = min_period g in
-  let n = Seq_graph.n_vertices g in
+  let n = Loop_graph.n_vertices g in
   let identity = Array.make n 0 in
   let best = ref (identity, period_before, csteps_before) in
   for period = best_period to period_before - 1 do
     match feas g ~period with
     | None -> ()
     | Some lag ->
-      let retimed = Seq_graph.retime g ~lag in
-      let csteps = slice_csteps ~resources retimed in
+      let csteps = slice_csteps ~resources (retime g ~lag) in
       let _, best_p, best_c = !best in
       if csteps < best_c || (csteps = best_c && period < best_p) then
         best := (lag, period, csteps)
   done;
   let lag, _target, csteps_after = !best in
-  let period_after =
-    Seq_graph.combinational_period (Seq_graph.retime g ~lag)
-  in
+  let period_after = combinational_period (retime g ~lag) in
   { lag; period_before; period_after; csteps_before; csteps_after }

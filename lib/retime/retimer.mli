@@ -1,6 +1,11 @@
 open Import
 
-(** Retiming algorithms.
+(** Retiming algorithms over sequential graphs.
+
+    A sequential (synchronous) graph is a {!Loop_graph.t} read as a
+    circuit: the distance of an edge is the number of registers on it,
+    and every cycle must carry at least one register (Leiserson–Saxe),
+    which is exactly {!Loop_graph.well_formed}.
 
     [feas]/[min_period] are the classic Leiserson–Saxe relaxation for
     the unconstrained clock period. [constrained] is the paper's
@@ -9,13 +14,29 @@ open Import
     length} of the retimed body, computed by the threaded scheduler —
     the online scheduler used as an evaluation kernel. *)
 
-val feas : Seq_graph.t -> period:int -> int array option
+val retime : Loop_graph.t -> lag:int array -> Loop_graph.t
+(** Leiserson–Saxe retiming: edge [(u, v)] gets weight
+    [w + lag.(v) - lag.(u)]. @raise Invalid_argument if any retimed
+    weight is negative or [lag] has the wrong length. *)
+
+val combinational_slice : Loop_graph.t -> Graph.t
+(** The DAG a single clock "tick" computes: every vertex once, at the
+    same id, with the register-free edges as dependences; registered
+    inputs appear as extra [Op.Input "rN"] vertices so the slice is
+    evaluable and schedulable. @raise Invalid_argument if not
+    {!Loop_graph.well_formed}. *)
+
+val combinational_period : Loop_graph.t -> int
+(** Longest register-free path (in cycle delays) — the clock period an
+    unconstrained implementation needs. *)
+
+val feas : Loop_graph.t -> period:int -> int array option
 (** The FEAS relaxation: [Some lag] such that the retimed graph's
     combinational period is at most [period], or [None] if the target
     is infeasible. Vertices carrying [Op.Input]/[Op.Output] are the
     environment and keep lag 0 — retiming never changes I/O latency. *)
 
-val min_period : Seq_graph.t -> int * int array
+val min_period : Loop_graph.t -> int * int array
 (** Smallest feasible combinational period and a lag achieving it
     (binary search over {!feas}). *)
 
@@ -27,7 +48,7 @@ type outcome = {
   csteps_after : int;  (** threaded schedule of the retimed body *)
 }
 
-val constrained : resources:Resources.t -> Seq_graph.t -> outcome
+val constrained : resources:Resources.t -> Loop_graph.t -> outcome
 (** Scan every feasible period between the unconstrained optimum and
     the original period; schedule each candidate's combinational slice
     under [resources] with the threaded scheduler; keep the retiming

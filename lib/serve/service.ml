@@ -1,7 +1,5 @@
 open Import
 
-let () = Lazy.force extra_engines
-
 (* The scheduling service proper: resolve a request to a graph,
    fingerprint it, consult the LRU cache, and only run the scheduler on
    a miss. A second, cheaper memo maps (design name, resources, meta)

@@ -564,44 +564,6 @@ let test_serial_eval_preserved () =
     (Eval.outputs g [ ("x", 3); ("y", 4) ])
     (Eval.outputs back [ ("x", 3); ("y", 4) ])
 
-(* --- Reduce -------------------------------------------------------- *)
-
-let test_reduce_triangle () =
-  let g = Graph.create () in
-  let a = Graph.add_vertex g Op.Add in
-  let b = Graph.add_vertex g Op.Add in
-  let c = Graph.add_vertex g Op.Add in
-  Graph.add_edge g a b;
-  Graph.add_edge g b c;
-  Graph.add_edge g a c;
-  check
-    Alcotest.(list (pair int int))
-    "redundant" [ (a, c) ]
-    (Dfg.Reduce.redundant_edges g);
-  let r = Dfg.Reduce.transitive_reduction g in
-  check Alcotest.int "edges" 2 (Graph.n_edges r);
-  check Alcotest.bool "reduced" true (Dfg.Reduce.is_reduced r);
-  check Alcotest.bool "original not" false (Dfg.Reduce.is_reduced g)
-
-let prop_reduction_preserves_reachability =
-  QCheck.Test.make ~name:"transitive reduction preserves reachability"
-    ~count:60
-    QCheck.(pair (int_range 1 25) (int_range 0 10_000))
-    (fun (n, seed) ->
-      let g =
-        Generate.random_dag (Random.State.make [| seed |]) ~n ~edge_prob:0.3
-      in
-      let r = Dfg.Reduce.transitive_reduction g in
-      let ra = Reach.of_graph g and rb = Reach.of_graph r in
-      let ok = ref (Dfg.Reduce.is_reduced r) in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if u <> v && Reach.precedes ra u v <> Reach.precedes rb u v then
-            ok := false
-        done
-      done;
-      !ok)
-
 (* --- qcheck properties --------------------------------------------- *)
 
 let seeded_dag =
@@ -967,7 +929,6 @@ let qcheck_cases =
       prop_reach_transitive;
       prop_incremental_reach_oracle;
       prop_eval_deterministic;
-      prop_reduction_preserves_reachability;
       prop_serial_roundtrip_iso;
       prop_serial_parser_oracle;
     ]
@@ -1067,7 +1028,5 @@ let () =
           Alcotest.test_case "eval preserved" `Quick
             test_serial_eval_preserved;
         ] );
-      ( "reduce",
-        [ Alcotest.test_case "triangle" `Quick test_reduce_triangle ] );
       ("properties", qcheck_cases);
     ]

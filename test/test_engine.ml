@@ -1,11 +1,11 @@
-(* The scheduler portfolio: the Engine registry, the QoR-annotated run
-   wrapper, the annealing and branch-and-bound engines, and race mode.
+(* The scheduler portfolio: the Engine table, the QoR-annotated run
+   wrapper, and the annealing and branch-and-bound engines.
 
-   The load-bearing properties: every registered engine's output is a
-   valid resource-constrained schedule (Schedule.check) whose soft
-   state — when the engine returns one — passes the full threaded-
-   graph invariant; branch and bound degrades to its incumbent on any
-   budget; a race is QoR-no-worse than each of its racers. *)
+   The load-bearing properties: every engine's output is a valid
+   resource-constrained schedule (Schedule.check) whose soft state —
+   when the engine returns one — passes the full threaded-graph
+   invariant; branch and bound degrades to its incumbent on any
+   budget. *)
 
 module Graph = Dfg.Graph
 module Generate = Dfg.Generate
@@ -13,7 +13,6 @@ module R = Hard.Resources
 module S = Hard.Schedule
 module Engine = Soft.Engine
 module Invariant = Soft.Invariant
-module Race = Serve.Race
 
 let check = Alcotest.check
 let two_two = R.fig3_2alu_2mul
@@ -27,7 +26,7 @@ let get_engine name =
   | Ok e -> e
   | Error m -> Alcotest.fail m
 
-(* --- registry -------------------------------------------------------- *)
+(* --- engine table ---------------------------------------------------- *)
 
 let test_registry_names () =
   let required =
@@ -49,6 +48,8 @@ let test_registry_names () =
       ("exact", "bnb");
       ("exhaustive", "bnb");
       ("fds", "force_directed");
+      ("ims", "modulo");
+      ("loop", "modulo");
       ("ANNEAL", "anneal");
     ];
   (match Engine.of_string "no-such-engine" with
@@ -63,27 +64,16 @@ let test_registry_names () =
          go 0
        in
        has m "anneal" && has m "bnb"));
-  check Alcotest.bool "at least 7 engines registered" true
-    (List.length (Engine.all ()) >= 7);
-  let names = Engine.names () in
-  check Alcotest.int "names are unique" (List.length names)
-    (List.length (List.sort_uniq compare names))
-
-let test_duplicate_registration () =
-  let dup =
-    (module struct
-      let name = "soft"
-      let about = "duplicate"
-      let capabilities = []
-
-      let schedule _ ~resources g =
-        ( Soft.Scheduler.run_to_schedule ~resources g,
-          { Engine.optimal = false; degraded = false; state = None } )
-    end : Engine.S)
-  in
-  Alcotest.check_raises "duplicate name rejected"
-    (Invalid_argument "Engine.register: duplicate engine soft") (fun () ->
-      Engine.register dup)
+  (* the whole table, in order: this suite links no serving layer and
+     calls no setup *)
+  check
+    Alcotest.(list string)
+    "engine table"
+    [
+      "soft"; "naive"; "search"; "anneal"; "list"; "fdls"; "force_directed";
+      "bnb"; "modulo";
+    ]
+    (Engine.names ())
 
 (* --- annotated runs --------------------------------------------------- *)
 
@@ -97,7 +87,7 @@ let test_run_annotations () =
   check Alcotest.bool "soft engine returns its state" true
     (Option.is_some o.Engine.state);
   check Alcotest.bool "registers positive on a real graph" true
-    (o.Engine.annot.Engine.registers > 0);
+    (o.Engine.annot.registers > 0);
   check Alcotest.bool "wall clock non-negative" true
     (o.Engine.annot.Engine.wall_s >= 0.0)
 
@@ -110,7 +100,7 @@ let test_compare_qor () =
   in
   check Alcotest.bool "fewer csteps wins" true (Engine.compare_qor shorter o < 0);
   let lighter =
-    { o with annot = { o.Engine.annot with Engine.registers = 0 } }
+    { o with annot = { o.Engine.annot with registers = 0 } }
   in
   check Alcotest.bool "registers break cstep ties" true
     (Engine.compare_qor lighter o < 0)
@@ -229,53 +219,12 @@ let bnb_matches_unpruned_prop seed =
     = S.length brute.Hard.Exact_bb.schedule
   end
 
-(* --- race mode -------------------------------------------------------- *)
-
-let race_no_worse design resources =
-  let g = design () in
-  let engines = Race.default_portfolio () in
-  match Race.run ~engines ~resources g with
-  | Error m -> Alcotest.fail m
-  | Ok race ->
-    ok_or_fail "winner schedule valid"
-      (S.check ~resources race.Race.winner.Engine.schedule);
-    List.iter
-      (fun (e : Race.entry) ->
-        match e.Race.outcome with
-        | None -> ()
-        | Some o ->
-          check Alcotest.bool
-            (Printf.sprintf "race no worse than %s" e.Race.engine)
-            true
-            (race.Race.winner.Engine.annot.Engine.csteps
-            <= o.Engine.annot.Engine.csteps))
-      race.Race.entries
-
-let test_race_fig1 () = race_no_worse Hls_bench.Fig1.graph Hls_bench.Fig1.resources
-let test_race_hal () = race_no_worse Hls_bench.Suite.(find "HAL").build two_two
-
-let test_race_subset_and_errors () =
-  let g = Hls_bench.Fig1.graph () in
-  let resources = Hls_bench.Fig1.resources in
-  (* any subset works, and the winner is marked with a portfolio member *)
-  let engines = List.filter_map Engine.find [ "list"; "bnb" ] in
-  (match Race.run ~engines ~resources g with
-  | Error m -> Alcotest.fail m
-  | Ok race ->
-    check Alcotest.bool "winner is a racer" true
-      (List.mem race.Race.winner.Engine.annot.Engine.engine [ "list"; "bnb" ]));
-  match Race.run ~engines:[] ~resources g with
-  | Ok _ -> Alcotest.fail "empty portfolio should be an error"
-  | Error _ -> ()
-
 let () =
   Alcotest.run "engine"
     [
       ( "registry",
         [
           Alcotest.test_case "names and aliases" `Quick test_registry_names;
-          Alcotest.test_case "duplicate rejected" `Quick
-            test_duplicate_registration;
         ] );
       ( "annotations",
         [
@@ -295,12 +244,5 @@ let () =
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~name:"pruning preserves the optimum" ~count:20
                QCheck.small_nat bnb_matches_unpruned_prop);
-        ] );
-      ( "race",
-        [
-          Alcotest.test_case "fig1 no worse" `Quick test_race_fig1;
-          Alcotest.test_case "HAL no worse" `Quick test_race_hal;
-          Alcotest.test_case "subsets and errors" `Quick
-            test_race_subset_and_errors;
         ] );
     ]

@@ -137,7 +137,7 @@ let test_asap_alap () =
     (S.length asap);
   check Alcotest.int "asap a" 0 (S.start asap a);
   check Alcotest.int "asap b" 3 (S.start asap b);
-  let alap = Hard.Alap.run ~deadline:6 g in
+  let alap = S.make g ~starts:(Paths.alap_starts g ~deadline:6) in
   check Alcotest.int "alap b" 5 (S.start alap b);
   check Alcotest.int "alap m" 3 (S.start alap m);
   check Alcotest.bool "alap valid" true (S.check alap = Ok ())

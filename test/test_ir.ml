@@ -293,53 +293,6 @@ let test_repeat_schedulable () =
   check Alcotest.bool "valid schedule" true
     (Hard.Schedule.check ~resources s = Ok ())
 
-(* --- optimizer ------------------------------------------------------- *)
-
-let test_optimize_folds_constants () =
-  let ssa =
-    S.of_ast (P.parse "input x; output y; a = 3 * 4; y = a + x;")
-  in
-  let opt = Ir.Optimize.run ssa in
-  check Alcotest.bool "fewer statements" true
-    (Ir.Optimize.n_statements opt <= Ir.Optimize.n_statements ssa);
-  check Alcotest.int "semantics" 17
-    (List.assoc "y" (Ir.Interp.run_ssa opt [ ("x", 5) ]))
-
-let test_optimize_kills_dead_code () =
-  let ssa =
-    S.of_ast
-      (P.parse "input x; output y; dead = x * x; deader = dead + 1; y = x;")
-  in
-  let opt = Ir.Optimize.run ssa in
-  (* y = x copy-propagates into the output map, so nothing remains *)
-  check Alcotest.int "all dead code gone" 0 (Ir.Optimize.n_statements opt);
-  check Alcotest.int "output reads the input directly" 9
-    (List.assoc "y" (Ir.Interp.run_ssa opt [ ("x", 9) ]))
-
-let test_optimize_resolves_constant_phi () =
-  let ssa =
-    S.of_ast
-      (P.parse
-         "input x; output y; c = 1; if (c) { y = x + 1; } else { y = x - 1; }")
-  in
-  let opt = Ir.Optimize.run ssa in
-  check Alcotest.int "phi resolved" 0 (S.n_phis opt);
-  check Alcotest.int "kept the taken branch" 6
-    (List.assoc "y" (Ir.Interp.run_ssa opt [ ("x", 5) ]))
-
-let test_optimize_unrolled_induction () =
-  let ssa =
-    S.of_ast
-      (P.parse
-         "input x; output y; y = 0; i = 0; repeat 5 { y = y + x * i; i = i + 1; }")
-  in
-  let opt = Ir.Optimize.run ssa in
-  (* the induction variable folds away entirely *)
-  check Alcotest.bool "i-chain folded" true
-    (Ir.Optimize.n_statements opt < Ir.Optimize.n_statements ssa - 4);
-  check Alcotest.int "value" 50
-    (List.assoc "y" (Ir.Interp.run_ssa opt [ ("x", 5) ]))
-
 (* --- random-program property --------------------------------------- *)
 
 let random_program seed =
@@ -403,20 +356,6 @@ let prop_pipeline_agrees =
         let b = List.sort compare (Ir.Interp.run_ssa ssa env) in
         let c = List.sort compare (Dfg.Eval.outputs g env) in
         a = b && b = c)
-
-let prop_optimize_preserves_semantics =
-  QCheck.Test.make ~name:"optimizer preserves program semantics" ~count:200
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let ast = random_program seed in
-      match A.validate ast with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok () ->
-        let ssa = S.of_ast ast in
-        let opt = Ir.Optimize.run ssa in
-        let env = [ ("i0", 3); ("i1", -2); ("i2", 7) ] in
-        List.sort compare (Ir.Interp.run_ssa ssa env)
-        = List.sort compare (Ir.Interp.run_ssa opt env))
 
 let prop_ssa_unique_defs =
   QCheck.Test.make ~name:"SSA never defines a name twice" ~count:200
@@ -484,18 +423,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_repeat_validation;
           Alcotest.test_case "schedulable" `Quick test_repeat_schedulable;
         ] );
-      ( "optimize",
-        [
-          Alcotest.test_case "constant folding" `Quick
-            test_optimize_folds_constants;
-          Alcotest.test_case "dead code" `Quick test_optimize_kills_dead_code;
-          Alcotest.test_case "constant phi" `Quick
-            test_optimize_resolves_constant_phi;
-          Alcotest.test_case "unrolled induction" `Quick
-            test_optimize_unrolled_induction;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_pipeline_agrees; prop_ssa_unique_defs;
-            prop_optimize_preserves_semantics ] );
+          [ prop_pipeline_agrees; prop_ssa_unique_defs ] );
     ]

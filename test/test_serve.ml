@@ -17,6 +17,8 @@ module Service = Serve.Service
 module Batch = Serve.Batch
 module Daemon = Serve.Daemon
 module Metrics = Serve.Metrics
+module Race = Serve.Race
+module Engine = Soft.Engine
 module Json = Qor.Json
 
 let check = Alcotest.check
@@ -1115,13 +1117,13 @@ let test_metrics_engine_counters () =
     (contains prom {|softsched_race_wins_total{engine="list"} 1|});
   check Alcotest.bool "race total" true (contains prom "softsched_races_total 1")
 
-(* The modulo engine is registered by the serving layer itself (the
-   Import initialiser), so a race subset naming it runs it and its
-   counters surface in the stats snapshot and the Prometheus dump. *)
+(* The modulo engine is in the static engine table, so a race subset
+   naming it runs it and its counters surface in the stats snapshot and
+   the Prometheus dump. *)
 let test_metrics_modulo_engine_visible () =
   (match Soft.Engine.of_string "modulo" with
   | Ok _ -> ()
-  | Error m -> Alcotest.failf "modulo not registered by serve: %s" m);
+  | Error m -> Alcotest.failf "modulo not in the engine table: %s" m);
   let m = Metrics.create () in
   let service = Service.create ~metrics:m () in
   let prep req =
@@ -1385,6 +1387,48 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_canonical_roundtrip; prop_edge_moves_hash; prop_sharded_cache_oracle ]
 
+(* --- race mode -------------------------------------------------------- *)
+
+(* A race is QoR-no-worse than each of its racers. *)
+let race_no_worse design resources =
+  let g = design () in
+  let engines = Race.default_portfolio () in
+  match Race.run ~engines ~resources g with
+  | Error m -> Alcotest.fail m
+  | Ok race ->
+    check Alcotest.bool "winner schedule valid" true
+      (Schedule.check ~resources race.Race.winner.Engine.schedule = Ok ());
+    List.iter
+      (fun (e : Race.entry) ->
+        match e.Race.outcome with
+        | None -> ()
+        | Some o ->
+          check Alcotest.bool
+            (Printf.sprintf "race no worse than %s" e.Race.engine)
+            true
+            (race.Race.winner.Engine.annot.Engine.csteps
+            <= o.Engine.annot.Engine.csteps))
+      race.Race.entries
+
+let test_race_fig1 () = race_no_worse Hls_bench.Fig1.graph Hls_bench.Fig1.resources
+
+let test_race_hal () =
+  race_no_worse Hls_bench.Suite.(find "HAL").build Resources.fig3_2alu_2mul
+
+let test_race_subset_and_errors () =
+  let g = Hls_bench.Fig1.graph () in
+  let resources = Hls_bench.Fig1.resources in
+  (* any subset works, and the winner is marked with a portfolio member *)
+  let engines = List.filter_map Engine.find [ "list"; "bnb" ] in
+  (match Race.run ~engines ~resources g with
+  | Error m -> Alcotest.fail m
+  | Ok race ->
+    check Alcotest.bool "winner is a racer" true
+      (List.mem race.Race.winner.Engine.annot.Engine.engine [ "list"; "bnb" ]));
+  match Race.run ~engines:[] ~resources g with
+  | Ok _ -> Alcotest.fail "empty portfolio should be an error"
+  | Error _ -> ()
+
 let () =
   Alcotest.run "serve"
     [
@@ -1477,6 +1521,13 @@ let () =
           Alcotest.test_case "retry-after hint" `Quick test_metrics_retry_after;
           Alcotest.test_case "slow-request log" `Quick
             test_metrics_slow_log_file;
+        ] );
+      ( "race",
+        [
+          Alcotest.test_case "fig1 no worse" `Quick test_race_fig1;
+          Alcotest.test_case "HAL no worse" `Quick test_race_hal;
+          Alcotest.test_case "subsets and errors" `Quick
+            test_race_subset_and_errors;
         ] );
       ( "plumbing",
         [
