@@ -8,7 +8,8 @@
      1. Figure 3   — benchmarks x resource configs x meta schedules
      2. Figure 1c  — spill-code refinement strategies
      3. Figure 1d  — wire-delay refinement strategies
-     4. Theorem 3  — complexity sweep, fast select vs naive speculation
+     4. Theorem 3  — complexity sweep, fast select vs naive speculation,
+                     and soft vs list on dense random DAGs
      4b. Theorem 3/Lemma 7 — telemetry counters: scan work and degrees
      5. Theorem 2  — online-optimality audit on random graphs
      6. Ablation A — meta-schedule sensitivity (incl. random orders)
@@ -270,7 +271,32 @@ let complexity_sweep () =
   Printf.printf
     "(the naive scheduler speculatively commits at every position and\n\
     \ re-measures the diameter: the ratio grows with |V|, the fast\n\
-    \ select stays near-linear per operation.)\n"
+    \ select stays near-linear per operation.)\n";
+  (* The kernel constant against the list scheduler on dense random
+     DAGs (seed 42, edge probability 48/|V|), best of 5 each. *)
+  Printf.printf "\n%6s %10s %10s %10s %8s\n" "|V|" "edges" "soft(ms)"
+    "list(ms)" "ratio";
+  List.iter
+    (fun n ->
+      let g =
+        Generate.random_dag (Random.State.make [| 42 |]) ~n
+          ~edge_prob:(48. /. float_of_int n)
+      in
+      let resources = R.fig3_2alu_2mul in
+      let best_ms f =
+        let runs = List.init 5 (fun _ -> snd (time_once f)) in
+        1000. *. List.fold_left min infinity runs
+      in
+      let soft = best_ms (fun () -> ignore (Soft.Scheduler.run ~resources g)) in
+      let list = best_ms (fun () -> ignore (Hard.List_sched.run ~resources g)) in
+      let ratio = soft /. max list 1e-9 in
+      Printf.printf "%6d %10d %10.1f %10.1f %7.2fx\n" n (Graph.n_edges g) soft
+        list ratio;
+      let name what = Printf.sprintf "%s random_dag n=%d" what n in
+      record ~sec:"complexity" ~name:(name "soft") ~unit:"ms" soft;
+      record ~sec:"complexity" ~name:(name "list") ~unit:"ms" list;
+      record ~sec:"complexity" ~name:(name "soft/list") ~unit:"ratio" ratio)
+    [ 600; 2400 ]
 
 (* ------------------------------------------------------------------ *)
 (* 4b. Theorem 3 / Lemma 7, measured: telemetry counters               *)

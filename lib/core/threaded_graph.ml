@@ -1,38 +1,5 @@
 open Import
 
-(* One record per graph vertex. [thread = -1] means the vertex is either
-   unscheduled or scheduled free (zero-resource); [scheduled]
-   disambiguates. [pos] orders vertices within their thread and is
-   renumbered after each splice (O(thread length), keeping a schedule
-   call linear). [preds]/[succs] hold only the explicit (cross-thread or
-   free) edges; consecutive thread members are implicitly ordered via
-   [prev]/[next]. *)
-type node = {
-  mutable scheduled : bool;
-  mutable thread : int;
-  mutable prev : int;
-  mutable next : int;
-  mutable pos : int;
-  mutable preds : int list;
-  mutable succs : int list;
-  mutable sdist : int;
-  mutable tdist : int;
-}
-
-let fresh_node () =
-  {
-    scheduled = false;
-    thread = -1;
-    prev = -1;
-    next = -1;
-    pos = -1;
-    preds = [];
-    succs = [];
-    sdist = 0;
-    tdist = 0;
-  }
-
-module Vec = Dfg.Vec
 module Tel = Telemetry
 
 (* The reachability index and the graph generation it reflects. The box
@@ -52,19 +19,20 @@ type reach_box = { mutable index : Reach.t; mutable gen : int }
 
    - [indeg]/[order]: the labelling pass's remaining in-degrees and its
      Kahn queue, which ends up holding a topological order.
-   - [up]/[down]: membership marks of the select up-set and down-set. A
-     vertex is in the set iff its slot equals [epoch]; bumping [epoch]
-     empties both sets in O(1).
-   - [queue]: the closures' BFS queue ([qtail] is its fill level), and
-     the incremental relabelling's worklist (a ring: [qhead]/[qtail]
-     count pops/pushes, [down] marks the vertices on it).
+   - [down]: marks of the select down-set: in it iff equal to [epoch],
+     so bumping [epoch] empties the set in O(1).
+   - [queue]: the down-set BFS queue ([qtail] is its fill level), and
+     the worklist of the incremental relabelling and of the frontier
+     update (a ring: [qhead]/[qtail] count pops/pushes, [down] marks the
+     vertices on it).
    - [anc]/[desc]: the scheduled graph-ancestors / -descendants of
      [relatives_of], ascending, read once per call from the [Reach]
-     rows and used by both select and commit. *)
+     rows and used by both select and commit.
+   - [upto]: per thread, the position of the last member in the select
+     up-set (-1 if none), read off the ancestors' frontiers. *)
 type scratch = {
   indeg : int array;
   order : int array;
-  up : int array;
   down : int array;
   mutable epoch : int;
   queue : int array;
@@ -75,14 +43,14 @@ type scratch = {
   desc : int array;
   mutable n_desc : int;
   mutable relatives_of : int;
+  upto : int array;
 }
 
-let make_scratch n =
+let make_scratch n ~width =
   let n = max n 16 in
   {
     indeg = Array.make n 0;
     order = Array.make n 0;
-    up = Array.make n 0;
     down = Array.make n 0;
     epoch = 0;
     queue = Array.make n 0;
@@ -93,26 +61,62 @@ let make_scratch n =
     desc = Array.make n 0;
     n_desc = 0;
     relatives_of = -1;
+    upto = Array.make (max width 1) (-1);
   }
 
+(* The state is a structure of int arrays indexed by vertex, sized to a
+   capacity [cap] >= |V| that doubles when the graph outgrows it.
+
+   - [owner]: the vertex's thread, [free] for a scheduled zero-resource
+     vertex, [unscheduled] before its commit.
+   - [prev]/[next]: thread neighbours (-1 at the ends), the implicit
+     thread edges. [pos] orders a thread and is renumbered from the
+     inserted vertex on after each splice (O(thread length), keeping a
+     schedule call linear).
+   - [sdist]/[tdist]: the source/sink distance labels.
+   - [ins]/[outs]: the paper's per-thread slots [v.in[i]]/[v.out[i]],
+     flat V×K ([width] = K): the explicit pred / succ of v living in
+     thread i, or -1. Lemma 7's tightening keeps at most one per thread,
+     so one slot each is exact; adding or removing an edge and finding
+     a vertex's neighbour in a thread are O(1).
+   - [free_preds]/[free_succs]: explicit edges whose other end is a free
+     vertex, which belongs to no thread and so has no slot.
+   - [front]: flat V×K, [front.(v*K+i)] the last member of thread i
+     that is ⪯_S v, or -1 — v's up-set, one vertex per thread. Rows of
+     unscheduled vertices are all -1. *)
 type t = {
   graph : Graph.t;
   classes : Resources.fu_class array; (* thread -> its unit class *)
+  width : int;
   head : int array; (* thread -> first vertex or -1 *)
-  tail : int array;
-  nodes : node Vec.t;
+  count : int array; (* thread -> number of members *)
+  mutable cap : int;
+  mutable owner : int array;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable pos : int array;
+  mutable sdist : int array;
+  mutable tdist : int array;
+  mutable ins : int array;
+  mutable outs : int array;
+  mutable free_preds : int list array;
+  mutable free_succs : int list array;
+  mutable front : int array;
   mutable n_scheduled : int;
   reach : reach_box;
   mutable scratch : scratch;
-  (* The node labels (sdist/tdist) and [dia] are exact iff [labelled]
-     and the graph is still at [labels_gen]; otherwise the next reader
-     runs the full pass. *)
+  (* The labels (sdist/tdist) and [dia] are exact iff [labelled] and
+     the graph is still at [labels_gen]; otherwise the next reader runs
+     the full pass. *)
   mutable labelled : bool;
   mutable labels_gen : int;
   mutable dia : int;
 }
 
 type position = { thread : int; after : Graph.vertex option }
+
+let unscheduled = -2
+let free = -1
 
 let create graph ~resources =
   let classes =
@@ -122,15 +126,28 @@ let create graph ~resources =
          (Resources.classes resources))
   in
   let k = Array.length classes in
+  let cap = max (Graph.n_vertices graph) 16 in
   {
     graph;
     classes;
+    width = k;
     head = Array.make (max k 1) (-1);
-    tail = Array.make (max k 1) (-1);
-    nodes = Vec.create ~dummy:(fresh_node ()) ();
+    count = Array.make (max k 1) 0;
+    cap;
+    owner = Array.make cap unscheduled;
+    prev = Array.make cap (-1);
+    next = Array.make cap (-1);
+    pos = Array.make cap (-1);
+    sdist = Array.make cap 0;
+    tdist = Array.make cap 0;
+    ins = Array.make (cap * k) (-1);
+    outs = Array.make (cap * k) (-1);
+    free_preds = Array.make cap [];
+    free_succs = Array.make cap [];
+    front = Array.make (cap * k) (-1);
     n_scheduled = 0;
     reach = { index = Reach.of_graph graph; gen = Graph.generation graph };
-    scratch = make_scratch (Graph.n_vertices graph);
+    scratch = make_scratch cap ~width:k;
     labelled = true; (* nothing scheduled: vacuously exact *)
     labels_gen = Graph.generation graph;
     dia = 0;
@@ -206,97 +223,116 @@ let catch_up_closure t gen =
     emit_reach_update ~rows ~words ~rebuilt:true
   end
 
-(* Grow the node store and the scratch buffers to match the (possibly
+let grown a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Grow the vertex arrays and the scratch buffers to match the (possibly
    mutated) graph, and refresh the reachability index if the graph
-   changed. *)
+   changed. Growth doubles the capacity, so it is amortised O(1) per
+   added vertex. *)
 let sync t =
   let n = Graph.n_vertices t.graph in
-  while Vec.length t.nodes < n do
-    ignore (Vec.push t.nodes (fresh_node ()))
-  done;
+  if n > t.cap then begin
+    let cap = max n (2 * t.cap) and k = t.width in
+    t.owner <- grown t.owner cap unscheduled;
+    t.prev <- grown t.prev cap (-1);
+    t.next <- grown t.next cap (-1);
+    t.pos <- grown t.pos cap (-1);
+    t.sdist <- grown t.sdist cap 0;
+    t.tdist <- grown t.tdist cap 0;
+    t.ins <- grown t.ins (cap * k) (-1);
+    t.outs <- grown t.outs (cap * k) (-1);
+    t.free_preds <- grown t.free_preds cap [];
+    t.free_succs <- grown t.free_succs cap [];
+    t.front <- grown t.front (cap * k) (-1);
+    t.cap <- cap
+  end;
   if Array.length t.scratch.indeg < n then
-    t.scratch <- make_scratch (max n (2 * Array.length t.scratch.indeg));
+    t.scratch <-
+      make_scratch (max n (2 * Array.length t.scratch.indeg)) ~width:t.width;
   let gen = Graph.generation t.graph in
   if gen <> t.reach.gen then catch_up_closure t gen
 
-let node t v =
+let check_vertex t v =
   if v < 0 || v >= Graph.n_vertices t.graph then
     invalid_arg (Printf.sprintf "Threaded_graph: unknown vertex %d" v);
-  sync t;
-  Vec.get t.nodes v
+  sync t
 
-let is_scheduled t v = (node t v).scheduled
+let scheduled t v = t.owner.(v) <> unscheduled
+
+let is_scheduled t v =
+  check_vertex t v;
+  scheduled t v
+
 let n_scheduled t = t.n_scheduled
 
 let thread_of t v =
-  let n = node t v in
-  if n.scheduled && n.thread >= 0 then Some n.thread else None
+  check_vertex t v;
+  let k = t.owner.(v) in
+  if k >= 0 then Some k else None
 
 let thread_members t k =
   if k < 0 || k >= n_threads t then
     invalid_arg (Printf.sprintf "Threaded_graph.thread_members: no thread %d" k);
   sync t;
   let rec walk v acc =
-    if v < 0 then List.rev acc
-    else walk (Vec.get t.nodes v).next (v :: acc)
+    if v < 0 then List.rev acc else walk t.next.(v) (v :: acc)
   in
   walk t.head.(k) []
 
 let imax (a : int) b = if a >= b then a else b
 
-(* State successors/predecessors of a scheduled vertex: the implicit
-   thread neighbour plus the explicit cross edges. *)
-let iter_state_succs f t v =
-  let n = Vec.get t.nodes v in
-  if n.next >= 0 then f n.next;
-  List.iter f n.succs
+let rec iter_list f v = function
+  | [] -> ()
+  | y :: rest ->
+    f v y;
+    iter_list f v rest
 
-let iter_state_preds f t v =
-  let n = Vec.get t.nodes v in
-  if n.prev >= 0 then f n.prev;
-  List.iter f n.preds
+(* [f v y] for each state successor / predecessor [y] of a scheduled
+   [v]: the thread neighbour, the slots, then the free neighbours.
+   Passing [v] back lets a walk build [f] once, not once per vertex. *)
+let iter_succs f t v =
+  if t.next.(v) >= 0 then f v t.next.(v);
+  for i = v * t.width to ((v + 1) * t.width) - 1 do
+    if t.outs.(i) >= 0 then f v t.outs.(i)
+  done;
+  iter_list f v t.free_succs.(v)
+
+let iter_preds f t v =
+  if t.prev.(v) >= 0 then f v t.prev.(v);
+  for i = v * t.width to ((v + 1) * t.width) - 1 do
+    if t.ins.(i) >= 0 then f v t.ins.(i)
+  done;
+  iter_list f v t.free_preds.(v)
+
+(* The number of v's explicit neighbours in threads, i.e. its filled
+   [ins] or [outs] slots. *)
+let filled t (slots : int array) v =
+  let d = ref 0 in
+  for i = v * t.width to ((v + 1) * t.width) - 1 do
+    if slots.(i) >= 0 then incr d
+  done;
+  !d
 
 let iter_scheduled f t =
-  for v = 0 to Vec.length t.nodes - 1 do
-    if (Vec.get t.nodes v).scheduled then f v
+  for v = 0 to Graph.n_vertices t.graph - 1 do
+    if scheduled t v then f v
   done
 
 (* --- labelling ---------------------------------------------------- *)
 
-(* The list walks below are written out (rather than [List.iter] over a
-   closure) so the labelling pass allocates nothing. *)
-let rec max_sdist nodes acc = function
-  | [] -> acc
-  | p :: rest -> max_sdist nodes (imax acc (Vec.get nodes p).sdist) rest
-
-let rec max_tdist nodes acc = function
-  | [] -> acc
-  | q :: rest -> max_tdist nodes (imax acc (Vec.get nodes q).tdist) rest
-
 (* v's labels from those of its state preds / succs. *)
 let sdist_of t v =
-  let n = Vec.get t.nodes v in
-  let from_prev = if n.prev >= 0 then (Vec.get t.nodes n.prev).sdist else 0 in
-  max_sdist t.nodes from_prev n.preds + Graph.delay t.graph v
+  let m = ref 0 in
+  iter_preds (fun _ p -> m := imax !m t.sdist.(p)) t v;
+  !m + Graph.delay t.graph v
 
 let tdist_of t v =
-  let n = Vec.get t.nodes v in
-  let from_next = if n.next >= 0 then (Vec.get t.nodes n.next).tdist else 0 in
-  max_tdist t.nodes from_next n.succs + Graph.delay t.graph v
-
-let release s x =
-  let d = s.indeg.(x) - 1 in
-  s.indeg.(x) <- d;
-  if d = 0 then begin
-    s.order.(s.qtail) <- x;
-    s.qtail <- s.qtail + 1
-  end
-
-let rec release_all s = function
-  | [] -> ()
-  | x :: rest ->
-    release s x;
-    release_all s rest
+  let m = ref 0 in
+  iter_succs (fun _ q -> m := imax !m t.tdist.(q)) t v;
+  !m + Graph.delay t.graph v
 
 (* Forward/backward labelling (the paper's forwardLabel/backwardLabel),
    from scratch: longest-path distances over the state's partial order.
@@ -308,34 +344,35 @@ let rec release_all s = function
    incremental update (see [relabel_from]). *)
 let label t =
   sync t;
-  let s = t.scratch and nodes = t.nodes in
+  let s = t.scratch in
+  let push x =
+    s.order.(s.qtail) <- x;
+    s.qtail <- s.qtail + 1
+  in
+  let release _ x =
+    s.indeg.(x) <- s.indeg.(x) - 1;
+    if s.indeg.(x) = 0 then push x
+  in
   s.qtail <- 0;
-  for v = 0 to Vec.length nodes - 1 do
-    let n = Vec.get nodes v in
-    if n.scheduled then begin
-      let d = List.length n.preds + if n.prev >= 0 then 1 else 0 in
-      s.indeg.(v) <- d;
-      if d = 0 then begin
-        s.order.(s.qtail) <- v;
-        s.qtail <- s.qtail + 1
-      end
-    end
-  done;
+  iter_scheduled
+    (fun v ->
+      let from_prev = if t.prev.(v) >= 0 then 1 else 0 in
+      s.indeg.(v) <- from_prev + filled t t.ins v + List.length t.free_preds.(v);
+      if s.indeg.(v) = 0 then push v)
+    t;
   let head = ref 0 and dia = ref 0 in
   while !head < s.qtail do
     let v = s.order.(!head) in
     incr head;
-    let n = Vec.get nodes v in
-    n.sdist <- sdist_of t v;
-    dia := imax !dia n.sdist;
-    if n.next >= 0 then release s n.next;
-    release_all s n.succs
+    t.sdist.(v) <- sdist_of t v;
+    dia := imax !dia t.sdist.(v);
+    iter_succs release t v
   done;
   if s.qtail <> t.n_scheduled then
     failwith "Threaded_graph.label: scheduling state contains a cycle";
   for i = s.qtail - 1 downto 0 do
     let v = s.order.(i) in
-    (Vec.get nodes v).tdist <- tdist_of t v
+    t.tdist.(v) <- tdist_of t v
   done;
   t.dia <- !dia;
   t.labelled <- true;
@@ -371,56 +408,44 @@ let dequeue s =
   s.down.(x) <- 0;
   x
 
+let start_worklist s v =
+  s.epoch <- s.epoch + 1;
+  s.qhead <- 0;
+  s.qtail <- 0;
+  enqueue s v
+
 let raise_sdist t from y =
-  let n = Vec.get t.nodes y in
   let d = from + Graph.delay t.graph y in
-  if d > n.sdist then begin
-    n.sdist <- d;
+  if d > t.sdist.(y) then begin
+    t.sdist.(y) <- d;
     t.dia <- imax t.dia d;
     enqueue t.scratch y
   end
 
 let raise_tdist t from y =
-  let n = Vec.get t.nodes y in
   let d = from + Graph.delay t.graph y in
-  if d > n.tdist then begin
-    n.tdist <- d;
+  if d > t.tdist.(y) then begin
+    t.tdist.(y) <- d;
     enqueue t.scratch y
   end
-
-let rec raise_all bump t from = function
-  | [] -> ()
-  | y :: rest ->
-    bump t from y;
-    raise_all bump t from rest
 
 (* Run the worklist seeded with [v]; [false] if the cap was hit. *)
 let drain t ~forward =
   let s = t.scratch in
+  let down x y = raise_sdist t t.sdist.(x) y
+  and up x y = raise_tdist t t.tdist.(x) y in
   while s.qhead < s.qtail && s.qhead <= t.n_scheduled do
-    let n = Vec.get t.nodes (dequeue s) in
-    if forward then begin
-      if n.next >= 0 then raise_sdist t n.sdist n.next;
-      raise_all raise_sdist t n.sdist n.succs
-    end
-    else begin
-      if n.prev >= 0 then raise_tdist t n.tdist n.prev;
-      raise_all raise_tdist t n.tdist n.preds
-    end
+    let x = dequeue s in
+    if forward then iter_succs down t x else iter_preds up t x
   done;
   s.qhead >= s.qtail
 
 let relabel_from t v =
-  let s = t.scratch in
-  let n = Vec.get t.nodes v in
-  n.sdist <- sdist_of t v;
-  n.tdist <- tdist_of t v;
-  t.dia <- imax t.dia n.sdist;
+  t.sdist.(v) <- sdist_of t v;
+  t.tdist.(v) <- tdist_of t v;
+  t.dia <- imax t.dia t.sdist.(v);
   let run ~forward =
-    s.epoch <- s.epoch + 1;
-    s.qhead <- 0;
-    s.qtail <- 0;
-    enqueue s v;
+    start_worklist t.scratch v;
     drain t ~forward
   in
   t.labelled <- run ~forward:true && run ~forward:false
@@ -429,49 +454,68 @@ let diameter t =
   ensure_labels t;
   t.dia
 
-(* --- closures ----------------------------------------------------- *)
+(* --- up-set frontiers --------------------------------------------- *)
 
-let mark s marks x =
-  if marks.(x) <> s.epoch then begin
-    marks.(x) <- s.epoch;
+(* Raise [dst]'s frontier row to the thread-wise maximum with [src]'s;
+   [true] if it grew. Members of one thread compare by [pos]. *)
+let merge_front t ~src ~dst =
+  let k = t.width and grew = ref false in
+  for i = 0 to k - 1 do
+    let f = t.front.((src * k) + i) in
+    if f >= 0 then begin
+      let d = t.front.((dst * k) + i) in
+      if d < 0 || t.pos.(f) > t.pos.(d) then begin
+        t.front.((dst * k) + i) <- f;
+        grew := true
+      end
+    end
+  done;
+  !grew
+
+(* Give the freshly committed [v] its frontier row (the thread-wise
+   maximum of its state preds' rows, plus v in its own thread) and push
+   it forward. A commit only adds order through v (every edge it removes
+   is bypassed through v), so only rows of v's state descendants grow.
+   A descendant whose row does not grow already dominates v's row, and
+   so does everything after it: the worklist stops there. *)
+let update_fronts t v =
+  let s = t.scratch in
+  iter_preds (fun v p -> ignore (merge_front t ~src:p ~dst:v)) t v;
+  if t.owner.(v) >= 0 then t.front.((v * t.width) + t.owner.(v)) <- v;
+  let push x y = if merge_front t ~src:x ~dst:y then enqueue s y in
+  start_worklist s v;
+  while s.qhead < s.qtail do
+    iter_succs push t (dequeue s)
+  done
+
+(* --- down-set closure --------------------------------------------- *)
+
+let mark s x =
+  if s.down.(x) <> s.epoch then begin
+    s.down.(x) <- s.epoch;
     s.queue.(s.qtail) <- x;
     s.qtail <- s.qtail + 1
   end
 
-let rec mark_all s marks = function
-  | [] -> ()
-  | x :: rest ->
-    mark s marks x;
-    mark_all s marks rest
-
-(* Close the marked, queued seeds under state preds ([backward]) or
-   state succs: the up-set (everything ⪯_S some seed) or the down-set. *)
-let close t marks ~backward =
+(* Close the marked, queued seeds under state succs: the down-set
+   (everything ⪰_S some seed). *)
+let close_down t =
   let s = t.scratch in
-  let head = ref 0 in
+  let visit _ x = mark s x and head = ref 0 in
   while !head < s.qtail do
-    let n = Vec.get t.nodes s.queue.(!head) in
     incr head;
-    if backward then begin
-      if n.prev >= 0 then mark s marks n.prev;
-      mark_all s marks n.preds
-    end
-    else begin
-      if n.next >= 0 then mark s marks n.next;
-      mark_all s marks n.succs
-    end
+    iter_succs visit t s.queue.(!head - 1)
   done
 
 let precedes t u v =
   sync t;
-  if not ((Vec.get t.nodes u).scheduled && (Vec.get t.nodes v).scheduled)
-  then false
+  if not (scheduled t u && scheduled t v) then false
   else begin
     let s = t.scratch in
     s.epoch <- s.epoch + 1;
     s.qtail <- 0;
-    iter_state_succs (mark s s.down) t u;
-    close t s.down ~backward:false;
+    iter_succs (fun _ x -> mark s x) t u;
+    close_down t;
     s.down.(v) = s.epoch
   end
 
@@ -480,33 +524,27 @@ let state_graph t =
   let g = Graph.create () in
   Graph.iter_vertices
     (fun v ->
-      let scheduled = (Vec.get t.nodes v).scheduled in
+      let scheduled = scheduled t v in
       let delay = if scheduled then Graph.delay t.graph v else 0 in
       let op = if scheduled then Graph.op t.graph v else Op.Const 0 in
       let id = Graph.add_vertex g ~delay ~name:(Graph.name t.graph v) op in
       assert (id = v))
     t.graph;
-  iter_scheduled
-    (fun v -> iter_state_succs (fun s -> Graph.add_edge g v s) t v)
-    t;
+  iter_scheduled (iter_succs (Graph.add_edge g) t) t;
   g
 
 (* Edge count and Lemma-7 degree maxima of the current state — shared by
    [stats] and the telemetry end-of-call summary, so the two can never
    disagree. *)
 let edge_degree_stats t =
-  let in_thread v = (Vec.get t.nodes v).thread >= 0 in
   let n_state_edges = ref 0 and max_in = ref 0 and max_out = ref 0 in
-  let degree iter v =
-    let d = ref 0 in
-    iter (fun x -> if in_thread x then incr d) t v;
-    !d
-  in
+  let one x = if x >= 0 then 1 else 0 in
   iter_scheduled
     (fun v ->
-      iter_state_succs (fun _ -> incr n_state_edges) t v;
-      max_in := imax !max_in (degree iter_state_preds v);
-      max_out := imax !max_out (degree iter_state_succs v))
+      let d_out = one t.next.(v) + filled t t.outs v in
+      n_state_edges := !n_state_edges + d_out + List.length t.free_succs.(v);
+      max_in := imax !max_in (one t.prev.(v) + filled t t.ins v);
+      max_out := imax !max_out d_out)
     t;
   (!n_state_edges, !max_in, !max_out)
 
@@ -517,23 +555,20 @@ let edge_degree_stats t =
    preds) into [anc]/[desc], ascending, straight from the [Reach] rows.
    Commit links them in this order. *)
 let load_relatives t v =
-  let s = t.scratch and nodes = t.nodes in
-  s.n_anc <- 0;
-  s.n_desc <- 0;
-  Reach.iter_ancestors
-    (fun p ->
-      if (Vec.get nodes p).scheduled then begin
-        s.anc.(s.n_anc) <- p;
-        s.n_anc <- s.n_anc + 1
-      end)
-    t.reach.index v;
-  Reach.iter_descendants
-    (fun q ->
-      if (Vec.get nodes q).scheduled then begin
-        s.desc.(s.n_desc) <- q;
-        s.n_desc <- s.n_desc + 1
-      end)
-    t.reach.index v;
+  let s = t.scratch in
+  let collect iter buf =
+    let n = ref 0 in
+    iter
+      (fun x ->
+        if scheduled t x then begin
+          buf.(!n) <- x;
+          incr n
+        end)
+      t.reach.index v;
+    !n
+  in
+  s.n_anc <- collect Reach.iter_ancestors s.anc;
+  s.n_desc <- collect Reach.iter_descendants s.desc;
   s.relatives_of <- v
 
 let is_free_op t v =
@@ -545,12 +580,12 @@ let is_free_op t v =
    each member), calling [f k after cost] on the feasible ones ([after]
    is -1 for the head). Returns the number of slots examined (the
    Theorem 3 work measure). Requires [select_context v] to be fresh:
-   fresh labels and the up/down marks. [trace] reports each feasible
-   candidate to the telemetry sink — only the [schedule] path sets it,
-   so introspection helpers stay silent. *)
+   fresh labels, [upto] and the down marks. [trace] reports each
+   feasible candidate to the telemetry sink — only the [schedule] path
+   sets it, so introspection helpers stay silent. *)
 let scan_positions ?(trace = false) t v ~intrinsic_src ~intrinsic_snk f =
-  let s = t.scratch and nodes = t.nodes in
-  let in_up x = x >= 0 && s.up.(x) = s.epoch in
+  let s = t.scratch in
+  let in_up k x = x >= 0 && t.pos.(x) <= s.upto.(k) in
   let delay_v = Graph.delay t.graph v in
   let offer k after ~sdist_prev ~tdist_next =
     let cost =
@@ -572,18 +607,17 @@ let scan_positions ?(trace = false) t v ~intrinsic_src ~intrinsic_snk f =
         (* Position at the head of thread k. *)
         let first = t.head.(k) in
         incr scanned;
-        if not (in_up first) then
+        if not (in_up k first) then
           offer k (-1) ~sdist_prev:0
-            ~tdist_next:(if first < 0 then 0 else (Vec.get nodes first).tdist);
+            ~tdist_next:(if first < 0 then 0 else t.tdist.(first));
         (* Positions after each member. *)
         let w = ref first in
         while !w >= 0 do
-          let nw = Vec.get nodes !w in
-          let next = nw.next in
+          let next = t.next.(!w) in
           incr scanned;
-          if s.down.(!w) <> s.epoch && not (in_up next) then
-            offer k !w ~sdist_prev:nw.sdist
-              ~tdist_next:(if next < 0 then 0 else (Vec.get nodes next).tdist);
+          if s.down.(!w) <> s.epoch && not (in_up k next) then
+            offer k !w ~sdist_prev:t.sdist.(!w)
+              ~tdist_next:(if next < 0 then 0 else t.tdist.(next));
           w := next
         done
       end
@@ -591,29 +625,32 @@ let scan_positions ?(trace = false) t v ~intrinsic_src ~intrinsic_snk f =
     !scanned
 
 (* Everything select needs for [v]: fresh labels, v's scheduled
-   relatives (kept for commit), the up-set of its ancestors and the
-   down-set of its descendants as marks, and the intrinsic source/sink
-   distances through them. *)
+   relatives (kept for commit), the up-set of its ancestors as [upto]
+   (the thread-wise maximum of their frontier rows), the down-set of
+   its descendants as marks, and the intrinsic source/sink distances
+   through them. *)
 let select_context t v =
   ensure_labels t;
   load_relatives t v;
-  let s = t.scratch and nodes = t.nodes in
-  s.epoch <- s.epoch + 1;
+  let s = t.scratch and k = t.width in
   let intrinsic_src = ref 0 and intrinsic_snk = ref 0 in
-  s.qtail <- 0;
-  for i = 0 to s.n_anc - 1 do
-    let p = s.anc.(i) in
-    intrinsic_src := imax !intrinsic_src (Vec.get nodes p).sdist;
-    mark s s.up p
+  Array.fill s.upto 0 k (-1);
+  for j = 0 to s.n_anc - 1 do
+    let p = s.anc.(j) in
+    intrinsic_src := imax !intrinsic_src t.sdist.(p);
+    for i = 0 to k - 1 do
+      let f = t.front.((p * k) + i) in
+      if f >= 0 && t.pos.(f) > s.upto.(i) then s.upto.(i) <- t.pos.(f)
+    done
   done;
-  close t s.up ~backward:true;
+  s.epoch <- s.epoch + 1;
   s.qtail <- 0;
-  for i = 0 to s.n_desc - 1 do
-    let q = s.desc.(i) in
-    intrinsic_snk := imax !intrinsic_snk (Vec.get nodes q).tdist;
-    mark s s.down q
+  for j = 0 to s.n_desc - 1 do
+    let q = s.desc.(j) in
+    intrinsic_snk := imax !intrinsic_snk t.tdist.(q);
+    mark s q
   done;
-  close t s.down ~backward:false;
+  close_down t;
   (!intrinsic_src, !intrinsic_snk)
 
 let costed_positions t v =
@@ -626,64 +663,60 @@ let costed_positions t v =
   List.rev !acc
 
 let feasible_positions t v =
-  sync t;
-  if (Vec.get t.nodes v).scheduled then []
+  check_vertex t v;
+  if scheduled t v then []
   else if is_free_op t v then []
   else List.map fst (costed_positions t v)
 
 let predicted_cost t v position =
-  sync t;
+  check_vertex t v;
   match List.assoc_opt position (costed_positions t v) with
   | Some cost -> cost
   | None -> invalid_arg "Threaded_graph.predicted_cost: infeasible position"
 
 (* --- commit ------------------------------------------------------- *)
 
-let renumber_thread t k =
-  let rec walk v i =
-    if v >= 0 then begin
-      let n = Vec.get t.nodes v in
-      n.pos <- i;
-      walk n.next (i + 1)
-    end
-  in
-  walk t.head.(k) 0
-
-let rec mem_int (x : int) = function
-  | [] -> false
-  | y :: rest -> y = x || mem_int x rest
+(* The explicit edge [p -> v] lives in p's out slot for v's thread (or
+   p's free-succ list if v is free) and in v's in slot for p's thread
+   (or v's free-pred list). The linking rules below always empty a slot
+   before refilling it, which [fill] checks. *)
+let fill (slots : int array) i x =
+  assert (slots.(i) < 0);
+  slots.(i) <- x
 
 let add_explicit_edge t p v =
-  let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
-  if not (mem_int v np.succs) then begin
-    np.succs <- v :: np.succs;
-    nv.preds <- p :: nv.preds;
+  let k = t.width and tp = t.owner.(p) and tv = t.owner.(v) in
+  let present =
+    if tv >= 0 then t.outs.((p * k) + tv) = v else List.memq v t.free_succs.(p)
+  in
+  if not present then begin
+    if tv >= 0 then fill t.outs ((p * k) + tv) v
+    else t.free_succs.(p) <- v :: t.free_succs.(p);
+    if tp >= 0 then fill t.ins ((v * k) + tp) p
+    else t.free_preds.(v) <- p :: t.free_preds.(v);
     if Tel.enabled () then
       Tel.emit (fun s -> s.Tel.Sink.edge_added ~src:p ~dst:v)
   end
 
 let remove_explicit_edge t p v =
-  let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
-  np.succs <- List.filter (fun x -> x <> v) np.succs;
-  nv.preds <- List.filter (fun x -> x <> p) nv.preds;
+  let k = t.width and tp = t.owner.(p) and tv = t.owner.(v) in
+  if tv >= 0 then t.outs.((p * k) + tv) <- -1
+  else t.free_succs.(p) <- List.filter (fun x -> x <> v) t.free_succs.(p);
+  if tp >= 0 then t.ins.((v * k) + tp) <- -1
+  else t.free_preds.(v) <- List.filter (fun x -> x <> p) t.free_preds.(v);
   if Tel.enabled () then
     Tel.emit (fun s -> s.Tel.Sink.edge_removed ~src:p ~dst:v)
 
-(* The first of [xs] living in thread k (by Lemma 7 the only one among
-   a vertex's explicit succs or preds), or -1. *)
-let rec in_thread (nodes : node Vec.t) k = function
-  | [] -> -1
-  | x :: rest -> if (Vec.get nodes x).thread = k then x else in_thread nodes k rest
-
-let succ_in_thread t p k = in_thread t.nodes k (Vec.get t.nodes p).succs
-let pred_in_thread t q k = in_thread t.nodes k (Vec.get t.nodes q).preds
+(* p's explicit succ / q's explicit pred in thread k, or -1. *)
+let succ_in_thread t p k = t.outs.((p * t.width) + k)
+let pred_in_thread t q k = t.ins.((q * t.width) + k)
 
 (* Tighten edges between the freshly placed [v] and one scheduled
    graph-ancestor [p] (Figure 2 (a)(b)(c), with the same-thread-pred
    collapse repair of DESIGN.md §2.4). [k] is v's thread (-1 if free). *)
 let link_ancestor t ~v ~k p =
-  let np = Vec.get t.nodes p in
-  if np.thread = k && k >= 0 then
+  let tp = t.owner.(p) in
+  if tp = k && k >= 0 then
     (* Same thread: feasibility guaranteed p sits before v; implicit. *)
     ()
   else begin
@@ -692,22 +725,20 @@ let link_ancestor t ~v ~k p =
       else
         let e = succ_in_thread t p k in
         if e < 0 then true
-        else
-          let ne = Vec.get t.nodes e and nv = Vec.get t.nodes v in
-          if ne.pos < nv.pos then false (* p -> e -> … -> v implied *)
-          else begin
-            remove_explicit_edge t p e;
-            (* p ≺ e stays implied via p -> v -> … -> e. *)
-            true
-          end
+        else if t.pos.(e) < t.pos.(v) then false (* p -> e -> … -> v implied *)
+        else begin
+          remove_explicit_edge t p e;
+          (* p ≺ e stays implied via p -> v -> … -> e. *)
+          true
+        end
     in
     if wanted then begin
       (* v keeps at most one explicit pred per foreign thread: the
          latest one. Free preds are never collapsed. *)
-      if np.thread >= 0 then begin
-        let p' = pred_in_thread t v np.thread in
+      if tp >= 0 then begin
+        let p' = pred_in_thread t v tp in
         if p' < 0 || p' = p then add_explicit_edge t p v
-        else if (Vec.get t.nodes p').pos >= np.pos then
+        else if t.pos.(p') >= t.pos.(p) then
           () (* existing pred is later: keep it *)
         else begin
           remove_explicit_edge t p' v;
@@ -721,27 +752,25 @@ let link_ancestor t ~v ~k p =
 (* Mirror image for a scheduled graph-descendant [q]
    (Figure 2 (d)(e)(f)). *)
 let link_descendant t ~v ~k q =
-  let nq = Vec.get t.nodes q in
-  if nq.thread = k && k >= 0 then ()
+  let tq = t.owner.(q) in
+  if tq = k && k >= 0 then ()
   else begin
     let wanted =
       if k < 0 then true
       else
         let e = pred_in_thread t q k in
         if e < 0 then true
-        else
-          let ne = Vec.get t.nodes e and nv = Vec.get t.nodes v in
-          if ne.pos > nv.pos then false (* v -> … -> e -> q implied *)
-          else begin
-            remove_explicit_edge t e q;
-            true
-          end
+        else if t.pos.(e) > t.pos.(v) then false (* v -> … -> e -> q implied *)
+        else begin
+          remove_explicit_edge t e q;
+          true
+        end
     in
     if wanted then begin
-      if nq.thread >= 0 then begin
-        let q' = succ_in_thread t v nq.thread in
+      if tq >= 0 then begin
+        let q' = succ_in_thread t v tq in
         if q' < 0 || q' = q then add_explicit_edge t v q
-        else if (Vec.get t.nodes q').pos <= nq.pos then
+        else if t.pos.(q') <= t.pos.(q) then
           () (* existing succ is earlier: keep *)
         else begin
           remove_explicit_edge t v q';
@@ -752,28 +781,31 @@ let link_descendant t ~v ~k q =
     end
   end
 
+(* Insert [v] into thread [k] and renumber the members from v on (those
+   before it keep their positions). *)
 let splice t v { thread = k; after } =
-  let nv = Vec.get t.nodes v in
-  nv.thread <- k;
-  (match after with
-  | None ->
-    let first = t.head.(k) in
-    nv.prev <- -1;
-    nv.next <- first;
-    if first >= 0 then (Vec.get t.nodes first).prev <- v
-    else t.tail.(k) <- v;
-    t.head.(k) <- v
-  | Some w ->
-    let nw = Vec.get t.nodes w in
-    if nw.thread <> k then
-      invalid_arg "Threaded_graph.splice: anchor not in the target thread";
-    let next = nw.next in
-    nv.prev <- w;
-    nv.next <- next;
-    nw.next <- v;
-    if next >= 0 then (Vec.get t.nodes next).prev <- v
-    else t.tail.(k) <- v);
-  renumber_thread t k
+  let prev =
+    match after with
+    | None -> -1
+    | Some w ->
+      if t.owner.(w) <> k then
+        invalid_arg "Threaded_graph.splice: anchor not in the target thread";
+      w
+  in
+  let next = if prev < 0 then t.head.(k) else t.next.(prev) in
+  t.owner.(v) <- k;
+  t.prev.(v) <- prev;
+  t.next.(v) <- next;
+  if prev >= 0 then t.next.(prev) <- v else t.head.(k) <- v;
+  if next >= 0 then t.prev.(next) <- v;
+  t.count.(k) <- t.count.(k) + 1;
+  let rec renumber x i =
+    if x >= 0 then begin
+      t.pos.(x) <- i;
+      renumber t.next.(x) (i + 1)
+    end
+  in
+  renumber v (if prev < 0 then 0 else t.pos.(prev) + 1)
 
 (* Link the freshly placed [v] to its scheduled relatives, which
    [load_relatives v] must have left in the scratch buffers. *)
@@ -787,49 +819,38 @@ let link_relatives t v ~k =
     link_descendant t ~v ~k s.desc.(i)
   done
 
-(* After a commit the labels are either updated from [v] or, if they
-   were not exact beforehand, left for the full pass. *)
-let update_labels t v ~was_exact =
+(* The edges of the freshly linked [v] are final: bring the frontiers
+   and then the labels up to date. The labels are either updated from v
+   or, if they were not exact beforehand, left for the full pass. *)
+let finish_commit t v ~was_exact =
+  t.n_scheduled <- t.n_scheduled + 1;
+  update_fronts t v;
   if was_exact then relabel_from t v else t.labelled <- false
 
 let commit t v position =
   let was_exact = labels_exact t in
-  let nv = Vec.get t.nodes v in
   splice t v position;
-  nv.scheduled <- true;
-  t.n_scheduled <- t.n_scheduled + 1;
   link_relatives t v ~k:position.thread;
-  update_labels t v ~was_exact
+  finish_commit t v ~was_exact
 
 let commit_free t v =
   let was_exact = labels_exact t in
-  let nv = Vec.get t.nodes v in
-  nv.thread <- -1;
-  nv.scheduled <- true;
-  t.n_scheduled <- t.n_scheduled + 1;
+  t.owner.(v) <- free;
   load_relatives t v;
-  link_relatives t v ~k:(-1);
-  update_labels t v ~was_exact
+  link_relatives t v ~k:free;
+  finish_commit t v ~was_exact
 
 let commit_at t v position =
-  sync t;
-  let nv = node t v in
-  if nv.scheduled then
+  check_vertex t v;
+  if scheduled t v then
     invalid_arg "Threaded_graph.commit_at: vertex already scheduled";
   if is_free_op t v then
     invalid_arg "Threaded_graph.commit_at: zero-resource op is placed free";
-  let feasible = feasible_positions t v in
-  if not (List.mem position feasible) then
+  if not (List.mem position (feasible_positions t v)) then
     invalid_arg "Threaded_graph.commit_at: infeasible position";
   commit t v position
 
 type tie_break = [ `First | `Balance | `Pack ]
-
-let thread_population t k =
-  let rec walk v acc =
-    if v < 0 then acc else walk (Vec.get t.nodes v).next (acc + 1)
-  in
-  walk t.head.(k) 0
 
 (* End-of-call telemetry summary: O(V+E) recomputation of diameter,
    edge count and degree maxima (plus an optional transitive-closure
@@ -862,9 +883,8 @@ let tie_rule_name = function
   | `Pack -> "pack"
 
 let schedule ?(tie = `First) t v =
-  sync t;
-  let nv = node t v in
-  if not nv.scheduled then begin
+  check_vertex t v;
+  if not (scheduled t v) then begin
     let tel = Tel.enabled () in
     let t0 = if tel then Tel.now_ns () else 0 in
     if tel then
@@ -884,10 +904,7 @@ let schedule ?(tie = `First) t v =
          lighter tie, i.e. they pick the first lightest of the minima. *)
       let best_cost = ref max_int and best_thread = ref (-1)
       and best_after = ref (-1) and best_weight = ref None and ties = ref 0 in
-      let weigh k =
-        let population = thread_population t k in
-        if tie = `Pack then -population else population
-      in
+      let weigh k = if tie = `Pack then -t.count.(k) else t.count.(k) in
       let scanned =
         scan_positions ~trace:tel t v ~intrinsic_src ~intrinsic_snk
           (fun k after cost ->
@@ -956,10 +973,9 @@ let to_schedule ?(placement = `Asap) t =
   let dia = t.dia in
   let starts =
     Array.init (Graph.n_vertices t.graph) (fun v ->
-        let n = Vec.get t.nodes v in
         match placement with
-        | `Asap -> n.sdist - Graph.delay t.graph v
-        | `Alap -> dia - n.tdist)
+        | `Asap -> t.sdist.(v) - Graph.delay t.graph v
+        | `Alap -> dia - t.tdist.(v))
   in
   Schedule.make t.graph ~starts
 
@@ -975,11 +991,7 @@ type stats = {
 
 let stats ?(with_softness = false) t =
   sync t;
-  let n_in_threads = ref 0 in
-  iter_scheduled
-    (fun v -> if (Vec.get t.nodes v).thread >= 0 then incr n_in_threads)
-    t;
-  let n_in_threads = !n_in_threads in
+  let n_in_threads = Array.fold_left ( + ) 0 t.count in
   let n_state_edges, max_thread_in_degree, max_thread_out_degree =
     edge_degree_stats t
   in
@@ -1000,33 +1012,21 @@ let stats ?(with_softness = false) t =
 
 let copy t =
   sync t;
-  let nodes = Vec.create ~capacity:(Vec.length t.nodes) ~dummy:(fresh_node ()) () in
-  Vec.iter
-    (fun n ->
-      ignore
-        (Vec.push nodes
-           {
-             scheduled = n.scheduled;
-             thread = n.thread;
-             prev = n.prev;
-             next = n.next;
-             pos = n.pos;
-             preds = n.preds;
-             succs = n.succs;
-             sdist = n.sdist;
-             tdist = n.tdist;
-           }))
-    t.nodes;
   {
-    graph = t.graph;
-    classes = Array.copy t.classes;
+    t with
     head = Array.copy t.head;
-    tail = Array.copy t.tail;
-    nodes;
-    n_scheduled = t.n_scheduled;
-    reach = t.reach; (* shared box: see its definition *)
-    scratch = make_scratch 0;
-    labelled = t.labelled;
-    labels_gen = t.labels_gen;
-    dia = t.dia;
+    count = Array.copy t.count;
+    owner = Array.copy t.owner;
+    prev = Array.copy t.prev;
+    next = Array.copy t.next;
+    pos = Array.copy t.pos;
+    sdist = Array.copy t.sdist;
+    tdist = Array.copy t.tdist;
+    ins = Array.copy t.ins;
+    outs = Array.copy t.outs;
+    free_preds = Array.copy t.free_preds;
+    free_succs = Array.copy t.free_succs;
+    front = Array.copy t.front;
+    (* [reach] stays the shared box: see its definition. *)
+    scratch = make_scratch 0 ~width:t.width;
   }

@@ -795,6 +795,166 @@ let test_copy_interleaved () =
   check Alcotest.(array int) "copy as if alone" (alone `Pack)
     (S.starts (T.to_schedule copy))
 
+(* --- feasibility oracle ---------------------------------------------- *)
+
+(* Reference select for [v]: every feasible position with its cost,
+   built only from [T.state_graph], [Reach.of_graph] closures and the
+   reference labels — none of the kernel's slots, frontiers or marks.
+   A position is feasible iff the vertex before it is not in the
+   down-set of v's scheduled graph-descendants and the vertex after it
+   is not in the up-set of v's scheduled graph-ancestors. *)
+let reference_select state v =
+  let g = T.graph state in
+  let reach_g = Reach.of_graph g in
+  let reach_s = Reach.of_graph (T.state_graph state) in
+  let sdist, tdist, _ = reference_labels state in
+  let scheduled = List.filter (T.is_scheduled state) (Graph.vertices g) in
+  let anc = List.filter (fun p -> Reach.precedes reach_g p v) scheduled in
+  let desc = List.filter (fun q -> Reach.precedes reach_g v q) scheduled in
+  let in_up x = List.exists (fun a -> Reach.preceq reach_s x a) anc in
+  let in_down x = List.exists (fun d -> Reach.preceq reach_s d x) desc in
+  let src = List.fold_left (fun acc p -> max acc (sdist p)) 0 anc in
+  let snk = List.fold_left (fun acc q -> max acc (tdist q)) 0 desc in
+  let cost ~before ~after =
+    max src (Option.fold ~none:0 ~some:sdist before)
+    + max snk (Option.fold ~none:0 ~some:tdist after)
+    + Graph.delay g v
+  in
+  match R.class_of_op (Graph.op g v) with
+  | Some cls when Graph.delay g v > 0 ->
+    List.concat_map
+      (fun k ->
+        if not (R.equal_class (T.thread_class state k) cls) then []
+        else
+          let rec walk = function
+            | [] -> []
+            | w :: rest ->
+              let after = List.nth_opt rest 0 in
+              let ok =
+                (not (in_down w))
+                && not (Option.fold ~none:false ~some:in_up after)
+              in
+              let tail = walk rest in
+              if ok then
+                ({ T.thread = k; after = Some w }, cost ~before:(Some w) ~after)
+                :: tail
+              else tail
+          in
+          let members = T.thread_members state k in
+          let first = List.nth_opt members 0 in
+          let head =
+            if Option.fold ~none:false ~some:in_up first then []
+            else [ ({ T.thread = k; after = None }, cost ~before:None ~after:first) ]
+          in
+          head @ walk members)
+      (List.init (T.n_threads state) Fun.id)
+  | _ -> []
+
+(* Lemma 7 as the paper's slots: in the exported state, no vertex has
+   two preds, or two succs, living in the same thread. *)
+let slots_hold state =
+  let sg = T.state_graph state in
+  let one_per_thread neighbours =
+    let threads = List.filter_map (T.thread_of state) neighbours in
+    List.length threads = List.length (List.sort_uniq compare threads)
+  in
+  List.for_all
+    (fun v -> one_per_thread (Graph.preds sg v) && one_per_thread (Graph.succs sg v))
+    (Graph.vertices sg)
+
+let prop_feasibility_oracle =
+  QCheck.Test.make ~name:"select matches a reference feasibility oracle"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (n, p, seed) ->
+         Printf.sprintf "n=%d p=%.2f seed=%d" n p seed)
+       QCheck.Gen.(
+         triple (int_range 2 24) (float_range 0.05 0.4) (int_range 0 100_000)))
+    (fun (n, p, seed) ->
+      let run_meta name =
+        let rng = Random.State.make [| seed |] in
+        let g =
+          if seed mod 2 = 0 then Generate.random_dag rng ~n ~edge_prob:p
+          else Generate.layered rng ~layers:(1 + (n / 5)) ~width:(min n 5) ~fanin:2
+        in
+        let n_ops = Graph.n_vertices g in
+        List.iter
+          (fun op -> Graph.add_edge g (Graph.add_vertex g op) (Random.State.int rng n_ops))
+          [ Op.Input "x"; Op.Const 3 ];
+        let state = ref (T.create g ~resources:two_two) in
+        let agrees v =
+          let expected = reference_select !state v in
+          List.map fst expected = T.feasible_positions !state v
+          && List.for_all
+               (fun (pos, c) -> T.predicted_cost !state v pos = c)
+               expected
+        in
+        let place v =
+          let ok = agrees v in
+          (match T.feasible_positions !state v with
+          | positions when positions <> [] && Random.State.bool rng ->
+            T.commit_at !state v
+              (List.nth positions (Random.State.int rng (List.length positions)))
+          | _ -> T.schedule !state v);
+          if Random.State.int rng 8 = 0 then state := T.copy !state;
+          ok && slots_hold !state
+        in
+        let grow op =
+          match Graph.edges g with
+          | [] -> true
+          | edges ->
+            let u, w = List.nth edges (Random.State.int rng (List.length edges)) in
+            place (Dfg.Mutate.insert_on_edge g ~src:u ~dst:w ~op ())
+        in
+        let meta = Option.get (Meta.of_name ~resources:two_two name) in
+        List.for_all place (meta g)
+        && List.for_all grow [ Op.Mov; Op.Mul; Op.Wire; Op.Add ]
+      in
+      List.for_all run_meta Meta.names)
+
+(* --- pinned kernel counters ------------------------------------------ *)
+
+(* The telemetry counters after scheduling two 400-vertex graphs under
+   two meta schedules. They pin the explicit edge sets the linking rules
+   produce (edges added and removed, final state edges, degree maxima)
+   and the select work, not only the schedules: a kernel rewrite must
+   reproduce every one of them. *)
+let test_pinned_kernel_counters () =
+  let layered () =
+    Generate.layered (Random.State.make [| 400 |]) ~layers:40 ~width:10 ~fanin:3
+  and random_dag () =
+    Generate.random_dag (Random.State.make [| 400 |]) ~n:400 ~edge_prob:0.02
+  in
+  List.iter
+    (fun (label, build, meta, expected) ->
+      let c = Telemetry.Counters.create () in
+      let meta = Option.get (Meta.of_name ~resources:two_two meta) in
+      ignore
+        (Soft.Scheduler.run_traced ~meta ~resources:two_two
+           ~sink:(Telemetry.Counters.sink c) (build ()));
+      let s = Telemetry.Counters.snapshot c in
+      check
+        Alcotest.(list int)
+        label expected
+        Telemetry.Counters.
+          [
+            s.schedule_calls;
+            s.positions_scanned;
+            s.candidates;
+            s.edges_added;
+            s.edges_removed;
+            s.last_state_edges;
+            s.last_diameter;
+            s.max_in_degree_observed;
+            s.max_out_degree_observed;
+          ])
+    [
+      ("layered/topo", layered, "topo", [ 400; 57761; 2989; 11104; 10606; 894; 168; 4; 4 ]);
+      ("layered/dfs", layered, "dfs", [ 400; 57761; 5041; 4632; 4068; 960; 166; 4; 4 ]);
+      ("random_dag/topo", random_dag, "topo", [ 400; 59096; 12050; 1398; 1048; 746; 170; 4; 4 ]);
+      ("random_dag/dfs", random_dag, "dfs", [ 400; 59096; 20174; 1076; 654; 818; 168; 4; 4 ]);
+    ]
+
 let () =
   Alcotest.run "soft"
     [
@@ -880,5 +1040,11 @@ let () =
             prop_state_order_equals_reference;
             prop_lemma6_stable_labels;
             prop_labels_match_reference;
+            prop_feasibility_oracle;
           ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "pinned counters" `Quick
+            test_pinned_kernel_counters;
+        ] );
     ]
