@@ -93,28 +93,20 @@ let meta_arg =
   let doc = "Meta schedule: dfs, topo, paths or list." in
   Arg.(value & opt string "topo" & info [ "m"; "meta" ] ~docv:"META" ~doc)
 
-let scheduler_arg =
-  let doc =
-    "Scheduler: threaded (the paper's), search (threaded + meta-schedule \
-     search), list, asap, or exact. Superseded by $(b,--engine); kept for \
-     compatibility."
-  in
-  Arg.(value & opt string "threaded" & info [ "s"; "scheduler" ] ~doc)
-
 let engine_arg =
   let doc =
-    "Scheduling engine from the portfolio: soft, naive, search, anneal, \
-     list, fdls, force_directed, bnb or modulo (aliases: threaded, sa, \
-     exact, fds, ims, loop). Overrides $(b,--scheduler)."
+    "Scheduling engine from the portfolio: soft (the paper's threaded \
+     scheduler), search, anneal, list, bnb or modulo (aliases: threaded, \
+     sa, exact, ims, loop)."
   in
-  Arg.(value & opt (some string) None & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
+  Arg.(value & opt string "soft" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 
 let race_arg =
   let doc =
     "Race a comma-separated engine portfolio on a worker pool and keep the \
      QoR winner (fewest control steps, then registers, then wall time). \
      $(b,--race) $(i,default) races the standard portfolio \
-     (soft,list,fdls,anneal)."
+     (list,search,anneal). Overrides $(b,--engine)."
   in
   Arg.(value & opt (some string) None & info [ "race" ] ~docv:"A,B,C" ~doc)
 
@@ -250,7 +242,7 @@ let parse_portfolio spec =
            | Ok e -> e
            | Error m -> failwith m)
 
-let run_schedule design resources meta_s scheduler engine race seed tel =
+let run_schedule design resources meta_s engine race seed tel =
   term_of_failure @@ fun () ->
   let g = graph_of_spec design in
   let schedule, state, annot =
@@ -288,9 +280,8 @@ let run_schedule design resources meta_s scheduler engine race seed tel =
                        ^ Option.value ~default:"?" e.Serve.Race.error))
               race.Serve.Race.entries;
             let w = race.Serve.Race.winner in
-            (w.Soft.Engine.schedule, w.Soft.Engine.state,
-             Some w.Soft.Engine.annot))
-        | None, Some name ->
+            (w.Soft.Engine.schedule, w.Soft.Engine.state, w.Soft.Engine.annot))
+        | None, name ->
           let e =
             match Soft.Engine.of_string name with
             | Ok e -> e
@@ -298,43 +289,18 @@ let run_schedule design resources meta_s scheduler engine race seed tel =
           in
           let ctx = Soft.Engine.ctx ~seed ~meta:meta_s () in
           let o = Soft.Engine.run ~ctx e ~resources g in
-          (o.Soft.Engine.schedule, o.Soft.Engine.state, Some o.Soft.Engine.annot)
-        | None, None -> (
-          match scheduler with
-          | "threaded" ->
-            let meta = meta_of_name ~resources meta_s in
-            let state = Soft.Scheduler.run ~meta ~resources g in
-            (Soft.Threaded_graph.to_schedule state, Some state, None)
-          | "search" ->
-            let state = Soft.Search.best_state ~resources g in
-            (Soft.Threaded_graph.to_schedule state, Some state, None)
-          | "list" -> (Hard.List_sched.run ~resources g, None, None)
-          | "asap" -> (Hard.Asap.run g, None, None)
-          | "exact" ->
-            let r = Hard.Exact_bb.run ~resources g in
-            Printf.printf "exact search: %d nodes, optimal=%b\n"
-              r.Hard.Exact_bb.nodes_explored r.Hard.Exact_bb.optimal;
-            (r.Hard.Exact_bb.schedule, None, None)
-          | other ->
-            failwith
-              (Printf.sprintf
-                 "unknown scheduler %S: expected threaded, search, list, asap \
-                  or exact"
-                 other)))
+          (o.Soft.Engine.schedule, o.Soft.Engine.state, o.Soft.Engine.annot))
   in
   (match state with
   | Some state -> print_string (Soft.Render.threads state)
   | None -> ());
   Format.printf "%a@." Hard.Schedule.pp schedule;
   print_string (Hard.Schedule.gantt schedule);
-  (match annot with
-  | Some (a : Soft.Engine.annotations) ->
-    Printf.printf "engine: %s (%d registers, %.3f ms%s%s)\n"
-      a.Soft.Engine.engine a.registers
-      (a.Soft.Engine.wall_s *. 1000.)
-      (if a.Soft.Engine.optimal then ", optimal" else "")
-      (if a.Soft.Engine.degraded then ", degraded" else "")
-  | None -> ());
+  Printf.printf "engine: %s (%d registers, %.3f ms%s%s)\n"
+    annot.Soft.Engine.engine annot.Soft.Engine.registers
+    (annot.Soft.Engine.wall_s *. 1000.)
+    (if annot.Soft.Engine.optimal then ", optimal" else "")
+    (if annot.Soft.Engine.degraded then ", degraded" else "");
   (match Hard.Schedule.check ~resources schedule with
   | Ok () -> Printf.printf "valid under %s\n" (Hard.Resources.to_string resources)
   | Error m -> Printf.printf "INVALID: %s\n" m);
@@ -345,7 +311,7 @@ let schedule_cmd =
     Term.(
       ret
         (const run_schedule $ design_arg $ resources_arg $ meta_arg
-        $ scheduler_arg $ engine_arg $ race_arg $ seed_arg $ Tel_cli.term))
+        $ engine_arg $ race_arg $ seed_arg $ Tel_cli.term))
   in
   Cmd.v (Cmd.info "schedule" ~doc:"Schedule a design and print the result")
     term

@@ -2,18 +2,15 @@ open Import
 
 type outcome = {
   best_csteps : int;
-  best_order : Graph.vertex list;
-  best_tie : Threaded_graph.tie_break;
+  best_state : Threaded_graph.t;
   evaluated : int;
   accepted : int;
 }
 
-let now_s () = float_of_int (Telemetry.now_ns ()) /. 1e9
-
 let evaluate ~tie ~resources g order =
   let state = Threaded_graph.create g ~resources in
-  Threaded_graph.schedule_all ~tie state order;
-  Threaded_graph.diameter state
+  Threaded_graph.schedule_all ~tie state (Array.to_list order);
+  state
 
 let ties = [| `First; `Balance; `Pack |]
 
@@ -23,19 +20,15 @@ let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
   let rng = Random.State.make [| seed; 0x50f7; n |] in
   let order = Array.of_list (Meta.topological g) in
   let tie = ref 0 in
-  let cost = ref (evaluate ~tie:ties.(!tie) ~resources g (Array.to_list order)) in
-  let best_order = ref (Array.copy order) in
-  let best_tie = ref !tie in
+  let best_state = ref (evaluate ~tie:ties.(!tie) ~resources g order) in
+  let cost = ref (Threaded_graph.diameter !best_state) in
   let best = ref !cost in
   let evaluated = ref 1 in
   let accepted = ref 0 in
   let temp = ref init_temp in
-  let expired () =
-    match deadline with None -> false | Some d -> now_s () > d
-  in
   if n >= 2 then begin
     let i = ref 0 in
-    while !i < iterations && not (expired ()) do
+    while !i < iterations && not (expired deadline) do
       incr i;
       (* Propose: mostly order transpositions, occasionally flip the
          select tie-break — both leave the meta schedule legal (any
@@ -54,7 +47,8 @@ let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
           (!tie, fun () -> order.(a) <- va; order.(b) <- vb)
         end
       in
-      let cand = evaluate ~tie:ties.(cand_tie) ~resources g (Array.to_list order) in
+      let cand_state = evaluate ~tie:ties.(cand_tie) ~resources g order in
+      let cand = Threaded_graph.diameter cand_state in
       incr evaluated;
       let delta = cand - !cost in
       let accept =
@@ -67,8 +61,7 @@ let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
         cost := cand;
         if cand < !best then begin
           best := cand;
-          best_tie := cand_tie;
-          Array.blit order 0 !best_order 0 n
+          best_state := cand_state
         end
       end
       else undo ();
@@ -77,14 +70,7 @@ let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
   end;
   {
     best_csteps = !best;
-    best_order = Array.to_list !best_order;
-    best_tie = ties.(!best_tie);
+    best_state = !best_state;
     evaluated = !evaluated;
     accepted = !accepted;
   }
-
-let best_state ?seed ?iterations ?deadline ~resources g =
-  let o = run ?seed ?iterations ?deadline ~resources g in
-  let state = Threaded_graph.create g ~resources in
-  Threaded_graph.schedule_all ~tie:o.best_tie state o.best_order;
-  state

@@ -17,8 +17,8 @@ open Import
 
 type outcome = {
   best_csteps : int;
-  best_order : Graph.vertex list;
-  best_tie : Threaded_graph.tie_break;
+  best_state : Threaded_graph.t;
+      (** the best (order, tie) visited, as its scheduling state *)
   evaluated : int;  (** scheduler runs performed (including the seed) *)
   accepted : int;  (** proposed moves accepted (uphill ones included) *)
 }
@@ -34,10 +34,3 @@ val run :
     [Unix.gettimeofday] scale: once passed, the walk stops after the
     current evaluation. Deterministic given [seed] (default 0) when the
     iteration budget, not the deadline, ends the run. *)
-
-val best_state :
-  ?seed:int -> ?iterations:int -> ?deadline:float ->
-  resources:Resources.t -> Graph.t -> Threaded_graph.t
-(** Re-runs {!run}'s champion (order, tie) and returns the scheduling
-    state — the soft result the refinement machinery can keep
-    mutating. *)

@@ -1,14 +1,5 @@
 open Import
 
-type capability = Deterministic | Seeded | Anytime | Proves_optimal | Soft_state
-
-let capability_name = function
-  | Deterministic -> "deterministic"
-  | Seeded -> "seeded"
-  | Anytime -> "anytime"
-  | Proves_optimal -> "proves-optimal"
-  | Soft_state -> "soft-state"
-
 type ctx = {
   deadline : float option;
   seed : int;
@@ -21,24 +12,16 @@ let ctx ?deadline ?(seed = 0) ?(meta = "topo") ?budget () =
 
 let default_ctx = ctx ()
 
-type info = {
-  optimal : bool;
-  degraded : bool;
-  state : Threaded_graph.t option;
-}
+type info = { optimal : bool; state : Threaded_graph.t option }
 
 module type S = sig
   val name : string
-  val about : string
-  val capabilities : capability list
   val schedule : ctx -> resources:Resources.t -> Graph.t -> Schedule.t * info
 end
 
 type engine = (module S)
 
 let name (module E : S) = E.name
-let about (module E : S) = E.about
-let capabilities (module E : S) = E.capabilities
 
 (* -- QoR annotations --------------------------------------------------- *)
 
@@ -90,12 +73,15 @@ let peak_live g sched =
     Array.fold_left max 0 pressure
   end
 
-let now_s () = float_of_int (Telemetry.now_ns ()) /. 1e9
-
+(* The deadline rule: a result returned after its deadline is degraded
+   unless it is proven optimal. Such a result depends on the machine's
+   speed, not only on the request, so the serving layer never caches
+   it. *)
 let run ?(ctx = default_ctx) (module E : S) ~resources g =
   let t0 = now_s () in
   let schedule, info = E.schedule ctx ~resources g in
   let wall_s = now_s () -. t0 in
+  let degraded = (not info.optimal) && expired ctx.deadline in
   {
     schedule;
     annot =
@@ -105,7 +91,7 @@ let run ?(ctx = default_ctx) (module E : S) ~resources g =
         registers = peak_live g schedule;
         wall_s;
         optimal = info.optimal;
-        degraded = info.degraded;
+        degraded;
       };
     state = info.state;
   }
@@ -142,9 +128,7 @@ let threaded_run ?deadline ?tie ~meta ~resources g =
       if not (Threaded_graph.is_scheduled st v) then
         if !degraded then fast_place st v
         else begin
-          (match deadline with
-          | Some d when now_s () > d -> degraded := true
-          | _ -> ());
+          if expired deadline then degraded := true;
           if !degraded then fast_place st v
           else Threaded_graph.schedule ?tie st v
         end)
@@ -161,153 +145,63 @@ let resolve_meta ~resources name =
 
 (* -- the built-in portfolio -------------------------------------------- *)
 
+(* Every engine below returns soon after [ctx.deadline]: the threaded
+   ones stop improving and keep their best so far, [bnb] and [modulo]
+   fall back to their list-scheduled incumbent, and [list] is a single
+   pass. *)
+
 module Soft_engine = struct
   let name = "soft"
 
-  let about =
-    "the paper's threaded scheduler: online diameter-optimal select over \
-     the ctx meta order"
-
-  let capabilities = [ Deterministic; Anytime; Soft_state ]
-
   let schedule ctx ~resources g =
     let meta = resolve_meta ~resources ctx.meta in
-    let st, degraded = threaded_run ?deadline:ctx.deadline ~meta ~resources g in
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded; state = Some st } )
-end
-
-module Naive_engine = struct
-  let name = "naive"
-
-  let about =
-    "speculative reference select: try every position on a state copy, \
-     keep the best (O(|V|^2*|E|))"
-
-  let capabilities = [ Deterministic; Soft_state ]
-
-  let schedule ctx ~resources g =
-    let meta = resolve_meta ~resources ctx.meta in
-    let st = Naive.run ~meta ~resources g in
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded = false; state = Some st } )
+    let st, _ = threaded_run ?deadline:ctx.deadline ~meta ~resources g in
+    (Threaded_graph.to_schedule st, { optimal = false; state = Some st })
 end
 
 module Search_engine = struct
   let name = "search"
 
-  let about =
-    "threaded scheduler under meta-order search: the four standard \
-     orders plus seeded random restarts"
-
-  let capabilities = [ Seeded; Soft_state ]
-
   let schedule ctx ~resources g =
     let restarts = Option.value ~default:16 ctx.budget in
-    let st = Search.best_state ~restarts ~seed:ctx.seed ~resources g in
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded = false; state = Some st } )
+    let st =
+      Search.best_state ~restarts ~seed:ctx.seed ?deadline:ctx.deadline
+        ~resources g
+    in
+    (Threaded_graph.to_schedule st, { optimal = false; state = Some st })
 end
 
 module Anneal_engine = struct
   let name = "anneal"
-
-  let about =
-    "simulated annealing over meta orders and select tie-breaks, \
-     seeded; never worse than soft on the topo order"
-
-  let capabilities = [ Seeded; Anytime; Soft_state ]
 
   let schedule ctx ~resources g =
     let iterations = Option.value ~default:400 ctx.budget in
     let o =
       Anneal.run ~seed:ctx.seed ~iterations ?deadline:ctx.deadline ~resources g
     in
-    let st = Threaded_graph.create g ~resources in
-    Threaded_graph.schedule_all ~tie:o.Anneal.best_tie st o.Anneal.best_order;
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded = false; state = Some st } )
+    let st = o.Anneal.best_state in
+    (Threaded_graph.to_schedule st, { optimal = false; state = Some st })
 end
 
 module List_engine = struct
   let name = "list"
-  let about = "traditional list scheduling (critical-path priority)"
-  let capabilities = [ Deterministic ]
 
   let schedule _ctx ~resources g =
-    (List_sched.run ~resources g, { optimal = false; degraded = false; state = None })
-end
-
-module Fdls_engine = struct
-  let name = "fdls"
-  let about = "force-directed list scheduling (resource-constrained FDS)"
-  let capabilities = [ Deterministic ]
-
-  let schedule _ctx ~resources g =
-    (Hard.Fdls.run ~resources g, { optimal = false; degraded = false; state = None })
-end
-
-module Fds_engine = struct
-  let name = "force_directed"
-
-  let about =
-    "Paulin/Knight force-directed scheduling, deadline searched upward \
-     from the diameter until the resources fit"
-
-  let capabilities = [ Deterministic ]
-
-  (* FDS is timing-constrained: it meets a deadline and minimises
-     concurrency, but nothing forces the peak under the given unit
-     counts. Search deadlines upward (each relaxation lowers forces) and
-     fall back to list scheduling if even the serial bound never fits —
-     totality over arbitrary resource configurations. *)
-  let schedule _ctx ~resources g =
-    if Graph.n_vertices g = 0 then
-      ( Schedule.make g ~starts:[||],
-        { optimal = false; degraded = false; state = None } )
-    else begin
-      let lower = Paths.diameter g in
-      let upper =
-        max lower (Graph.fold_vertices (fun acc v -> acc + Graph.delay g v) 0 g)
-      in
-      let rec fit d =
-        if d > upper then List_sched.run ~resources g
-        else
-          let s = Hard.Force_directed.run ~deadline:d g in
-          match Schedule.check ~resources s with
-          | Ok () -> s
-          | Error _ -> fit (d + 1)
-      in
-      (fit lower, { optimal = false; degraded = false; state = None })
-    end
+    (List_sched.run ~resources g, { optimal = false; state = None })
 end
 
 module Bnb_engine = struct
   let name = "bnb"
 
-  let about =
-    "branch and bound over ready-set subsets with ASAP/ALAP pruning; \
-     proves optimality or falls back to the incumbent"
-
-  let capabilities = [ Deterministic; Anytime; Proves_optimal ]
-
   let schedule ctx ~resources g =
     let node_limit = Option.value ~default:500_000 ctx.budget in
-    let should_stop =
-      Option.map (fun d () -> now_s () > d) ctx.deadline
-    in
-    let r = Hard.Exact_bb.run ?should_stop ~node_limit ~resources g in
-    ( r.Hard.Exact_bb.schedule,
-      { optimal = r.Hard.Exact_bb.optimal; degraded = false; state = None } )
+    let should_stop () = expired ctx.deadline in
+    let r = Hard.Exact_bb.run ~should_stop ~node_limit ~resources g in
+    (r.Hard.Exact_bb.schedule, { optimal = r.Hard.Exact_bb.optimal; state = None })
 end
 
 module Modulo_engine = struct
   let name = "modulo"
-
-  let about =
-    "iterative modulo scheduler: II search from MII with budgeted eviction"
-
-  let capabilities = [ Deterministic ]
 
   (* The DAG is a loop body with independent iterations; [ctx.budget]
      is the per-II placement budget. The one-iteration starts are a
@@ -316,12 +210,13 @@ module Modulo_engine = struct
      engine never claims optimality. *)
   let schedule ctx ~resources g =
     let loop = Modulo.Loop_graph.of_dag g in
-    match Modulo.Ims.run ?budget:ctx.budget ~resources loop with
+    let should_stop () = expired ctx.deadline in
+    match Modulo.Ims.run ?budget:ctx.budget ~should_stop ~resources loop with
     | Error m -> invalid_arg ("modulo engine: " ^ m)
     | Ok (ms, _stats) ->
       ( Schedule.make g
           ~starts:(Array.init (Graph.n_vertices g) (Modulo.Mschedule.start ms)),
-        { optimal = false; degraded = false; state = None } )
+        { optimal = false; state = None } )
 end
 
 (* -- the engine table -------------------------------------------------- *)
@@ -329,12 +224,9 @@ end
 let table : engine list =
   [
     (module Soft_engine);
-    (module Naive_engine);
     (module Search_engine);
     (module Anneal_engine);
     (module List_engine);
-    (module Fdls_engine);
-    (module Fds_engine);
     (module Bnb_engine);
     (module Modulo_engine);
   ]
@@ -352,7 +244,6 @@ let of_string s =
     | "threaded" -> "soft"
     | "sa" | "annealing" -> "anneal"
     | "exact" | "bb" | "exhaustive" -> "bnb"
-    | "fds" | "force" -> "force_directed"
     | "ims" | "loop" -> "modulo"
     | other -> other
   in

@@ -1,29 +1,16 @@
 open Import
 
-(** The scheduler portfolio: every engine in the repo — the paper's
-    threaded scheduler, the traditional baselines, and the global
-    optimisers it is compared against — behind one first-class
-    signature and a static table, so the CLI, the serving layer and the
-    bench can treat "which scheduler" as a parameter.
+(** The scheduler portfolio: the paper's threaded scheduler, its
+    meta-schedule searches, and the baselines that beat it somewhere,
+    behind one first-class signature and a static table, so the CLI,
+    the serving layer and the bench can treat "which scheduler" as a
+    parameter.
 
     An engine maps [(resources, graph)] to a hard {!Schedule.t} under a
     shared context (soft deadline, RNG seed, meta-schedule name, search
     budget). {!run} wraps any engine with the QoR annotations the race
     arbiter orders by — control steps, then peak register pressure,
     then wall time — mirroring the flow report's metric priority. *)
-
-(** What an engine promises; surfaced in the README table and the CLI
-    engine listing. *)
-type capability =
-  | Deterministic  (** same input, same schedule — no RNG involved *)
-  | Seeded  (** stochastic, reproducible given [ctx.seed] *)
-  | Anytime  (** respects [ctx.deadline] by degrading, not failing *)
-  | Proves_optimal  (** can return [optimal = true] *)
-  | Soft_state
-      (** returns the threaded scheduling state, so downstream
-          refinement can keep mutating the result *)
-
-val capability_name : capability -> string
 
 (** Shared knobs, one record so the signature survives new engines.
     [deadline] is an absolute instant on the [Unix.gettimeofday] scale
@@ -46,25 +33,24 @@ val default_ctx : ctx
 (** What an engine reports alongside the schedule. *)
 type info = {
   optimal : bool;  (** proven optimal (exhaustive search completed) *)
-  degraded : bool;  (** deadline overran; tail fast-placed *)
-  state : Threaded_graph.t option;  (** for [Soft_state] engines *)
+  state : Threaded_graph.t option;
+      (** the threaded scheduling state, for the engines built on it, so
+          downstream refinement can keep mutating the result *)
 }
 
 module type S = sig
   val name : string
-  val about : string
-  val capabilities : capability list
 
   val schedule : ctx -> resources:Resources.t -> Graph.t -> Schedule.t * info
-  (** May raise on malformed input (cyclic graph, unknown meta); never
+  (** Returns soon after [ctx.deadline] with a valid schedule: past the
+      deadline an engine stops improving and keeps what it has. May
+      raise on malformed input (cyclic graph, unknown meta); never
       raises merely because the deadline or budget ran out. *)
 end
 
 type engine = (module S)
 
 val name : engine -> string
-val about : engine -> string
-val capabilities : engine -> capability list
 
 (** {2 QoR-annotated runs} *)
 
@@ -75,6 +61,8 @@ type annotations = {
   wall_s : float;
   optimal : bool;
   degraded : bool;
+      (** returned after [ctx.deadline] without being proven optimal:
+          the result depends on machine speed, so it is never cached *)
 }
 
 type outcome = {
@@ -84,7 +72,8 @@ type outcome = {
 }
 
 val run : ?ctx:ctx -> engine -> resources:Resources.t -> Graph.t -> outcome
-(** Time the engine and annotate its schedule. *)
+(** Time the engine and annotate its schedule, applying the deadline
+    rule for [degraded]. *)
 
 val run_traced :
   ?ctx:ctx ->
@@ -113,8 +102,9 @@ val peak_live : Graph.t -> Schedule.t -> int
     every binary that links [soft] sees the whole portfolio. *)
 
 val all : unit -> engine list
-(** Table order: [soft], [naive], [search], [anneal], [list], [fdls],
-    [force_directed], [bnb], [modulo]. *)
+(** Table order: [soft], [search], [anneal], [list], [bnb], [modulo].
+    {!Naive}, the Theorem 2 reference select, is not an engine: it
+    speculates on a state copy per position, far too slow to race. *)
 
 val names : unit -> string list
 
@@ -124,8 +114,8 @@ val find : string -> engine option
 val of_string : string -> (engine, string) result
 (** The CLI/protocol spelling: canonical names plus the aliases
     [threaded]→[soft], [sa]/[annealing]→[anneal],
-    [exact]/[bb]/[exhaustive]→[bnb], [fds]/[force]→[force_directed],
-    [ims]/[loop]→[modulo]. The error names the known engines. *)
+    [exact]/[bb]/[exhaustive]→[bnb], [ims]/[loop]→[modulo]. The error
+    names the known engines. *)
 
 (** {2 The shared threaded run} *)
 

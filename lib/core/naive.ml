@@ -20,6 +20,3 @@ let run ?(meta = Meta.topological) ~resources g =
   let state = Threaded_graph.create g ~resources in
   List.iter (schedule state) (meta g);
   state
-
-let run_to_schedule ?meta ~resources g =
-  Threaded_graph.to_schedule (run ?meta ~resources g)

@@ -22,6 +22,3 @@ val schedule : Threaded_graph.t -> Graph.vertex -> unit
 
 val run :
   ?meta:Meta.t -> resources:Resources.t -> Graph.t -> Threaded_graph.t
-
-val run_to_schedule :
-  ?meta:Meta.t -> resources:Resources.t -> Graph.t -> Schedule.t

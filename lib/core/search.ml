@@ -7,48 +7,49 @@ type outcome = {
   history : int list;
 }
 
+(* Built on demand: an order not reached before the deadline is never
+   computed ([Meta.list_like] alone runs a list scheduler). *)
 let candidate_orders ~restarts ~seed ~resources g =
   let standard =
-    List.map (fun (_, meta) -> meta g) (Meta.fig3 ~resources)
+    List.map (fun (_, meta) () -> meta g) (Meta.fig3 ~resources)
   in
   let random =
-    List.init restarts (fun i -> Meta.random ~seed:(seed + i) g)
+    List.init restarts (fun i () -> Meta.random ~seed:(seed + i) g)
   in
   standard @ random
 
-let run ?tie ?(restarts = 16) ?(seed = 0) ~resources g =
-  let orders = candidate_orders ~restarts ~seed ~resources g in
+(* Evaluate the candidates in turn, keeping the first strict minimum
+   and its state. Past [deadline] no further order is started; the
+   first always runs, so there is a champion. *)
+let champion ?tie ?deadline ?(restarts = 16) ?(seed = 0) ~resources g =
   let evaluate order =
     let state = Threaded_graph.create g ~resources in
     Threaded_graph.schedule_all ?tie state order;
-    Threaded_graph.diameter state
+    (Threaded_graph.diameter state, state)
   in
-  let best = ref None in
-  let history = ref [] in
-  List.iter
-    (fun order ->
-      let csteps = evaluate order in
-      (match !best with
-      | Some (best_csteps, _) when best_csteps <= csteps -> ()
-      | _ -> best := Some (csteps, order));
-      let current_best = match !best with Some (c, _) -> c | None -> csteps in
-      history := current_best :: !history)
-    orders;
-  match !best with
-  | None -> invalid_arg "Search.run: empty graph produced no candidates"
-  | Some (best_csteps, best_order) ->
-    {
-      best_csteps;
-      best_order;
-      evaluated = List.length orders;
-      history = List.rev !history;
-    }
+  let rec go best history = function
+    | next :: rest when Option.is_none best || not (expired deadline) ->
+      let order = next () in
+      let csteps, state = evaluate order in
+      let ((best_csteps, _, _) as best) =
+        match best with
+        | Some ((c, _, _) as b) when c <= csteps -> b
+        | _ -> (csteps, order, state)
+      in
+      go (Some best) (best_csteps :: history) rest
+    | _ -> (best, List.rev history)
+  in
+  match go None [] (candidate_orders ~restarts ~seed ~resources g) with
+  | None, _ -> invalid_arg "Search.run: empty graph produced no candidates"
+  | Some (best_csteps, best_order, state), history ->
+    ( { best_csteps; best_order; evaluated = List.length history; history },
+      state )
 
-let best_state ?tie ?restarts ?seed ~resources g =
-  let { best_order; _ } = run ?tie ?restarts ?seed ~resources g in
-  let state = Threaded_graph.create g ~resources in
-  Threaded_graph.schedule_all ?tie state best_order;
-  state
+let run ?tie ?restarts ?seed ~resources g =
+  fst (champion ?tie ?restarts ?seed ~resources g)
+
+let best_state ?tie ?restarts ?seed ?deadline ~resources g =
+  snd (champion ?tie ?deadline ?restarts ?seed ~resources g)
 
 (* Move the element at [from] to sit at position [to_] (positions in
    the list with the element removed). *)

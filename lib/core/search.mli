@@ -24,8 +24,11 @@ val run :
 
 val best_state :
   ?tie:Threaded_graph.tie_break -> ?restarts:int -> ?seed:int ->
-  resources:Resources.t -> Graph.t -> Threaded_graph.t
-(** Re-runs the champion order and returns its scheduling state. *)
+  ?deadline:float -> resources:Resources.t -> Graph.t -> Threaded_graph.t
+(** {!run}'s champion as a scheduling state. [deadline] is an absolute
+    instant on the [Unix.gettimeofday] scale: once passed, no further
+    candidate order is started, and the best one finished so far wins
+    (the first candidate always finishes). *)
 
 val hill_climb :
   ?tie:Threaded_graph.tie_break -> ?steps:int -> ?seed:int ->

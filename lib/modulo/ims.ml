@@ -156,7 +156,7 @@ let force_place g ~ii ~resources ~height a v t =
     in
     drain ()
 
-let try_ii g ~resources ~ii ~budget =
+let try_ii g ~resources ~ii ~budget ~should_stop =
   let n = Loop_graph.n_vertices g in
   let height = heights g ~ii in
   let a =
@@ -184,7 +184,7 @@ let try_ii g ~resources ~ii ~budget =
   let rec loop remaining =
     let v = next_unscheduled () in
     if v = -1 then Some (Array.copy a.sigma, !placements, a.evicted)
-    else if remaining = 0 then None
+    else if remaining = 0 || should_stop () then None
     else begin
       incr placements;
       let es = estart g ~ii a v in
@@ -245,7 +245,7 @@ let try_ii g ~resources ~ii ~budget =
   in
   loop budget
 
-let run ?budget ?max_ii ~resources g =
+let run ?budget ?max_ii ?(should_stop = fun () -> false) ~resources g =
   match Loop_graph.well_formed g with
   | Error m -> Error ("Ims.run: " ^ m)
   | Ok () -> (
@@ -288,7 +288,7 @@ let run ?budget ?max_ii ~resources g =
         let max_ii = match max_ii with Some m -> m | None -> serial_ii in
         let placements = ref 0 and evictions = ref 0 and tried = ref 0 in
         let rec search ii =
-          if ii > max_ii then begin
+          if ii > max_ii || should_stop () then begin
             let starts =
               Array.init n (fun v -> Schedule.start serial v)
             in
@@ -302,7 +302,7 @@ let run ?budget ?max_ii ~resources g =
           end
           else begin
             incr tried;
-            match try_ii g ~resources ~ii ~budget with
+            match try_ii g ~resources ~ii ~budget ~should_stop with
             | Some (starts, p, e) ->
               placements := !placements + p;
               evictions := !evictions + e;

@@ -32,11 +32,14 @@ type stats = {
 val run :
   ?budget:int ->
   ?max_ii:int ->
+  ?should_stop:(unit -> bool) ->
   resources:Resources.t ->
   Loop_graph.t ->
   (Mschedule.t * stats, string) result
 (** [budget] is the per-candidate-II placement allowance, default
     [max 128 (8 * n_vertices)]. [max_ii] caps the search, default
     the serial fallback length (searching past it is pointless).
+    [should_stop] is polled before each placement; once it answers
+    [true] the search gives up and returns the serial fallback.
     The result passes [Mschedule.check ~resources] by construction;
     determinism: same kernel, same resources, same schedule. *)

@@ -11,10 +11,11 @@ type t = {
   winner : Engine.outcome;
   entries : entry list;
   wall_s : float;
+  degraded : bool;
 }
 
 let default_portfolio () =
-  List.filter_map Engine.find [ "soft"; "list"; "fdls"; "anneal" ]
+  List.filter_map Engine.find [ "list"; "search"; "anneal" ]
 
 let run ?pool ?deadline ?seed ?meta ?budget ~engines ~resources g =
   match engines with
@@ -79,8 +80,16 @@ let run ?pool ?deadline ?seed ?meta ?budget ~engines ~resources g =
             if Engine.compare_qor o best < 0 then Some o else acc)
         None entries
     in
+    let degraded =
+      List.exists
+        (fun e ->
+          match e.outcome with
+          | Some o -> o.Engine.annot.Engine.degraded
+          | None -> false)
+        entries
+    in
     (match winner with
-    | Some w -> Ok { winner = w; entries; wall_s }
+    | Some w -> Ok { winner = w; entries; wall_s; degraded }
     | None ->
       let why =
         entries

@@ -23,13 +23,17 @@ type t = {
   winner : Engine.outcome;
   entries : entry list;  (** portfolio order, one per racer *)
   wall_s : float;  (** whole-race wall clock *)
+  degraded : bool;
+      (** some racer was degraded ({!Soft.Engine.annotations}): on a
+          faster machine the winner could differ, so the race result
+          is not cached *)
 }
 
 val default_portfolio : unit -> Engine.engine list
-(** [soft; list; fdls; anneal] — one of each character: the paper's
-    scheduler, the cheap baseline, the force-directed heuristic, and a
-    stochastic improver. Includes [soft], so a race is never worse than
-    the fast path on the same meta order. *)
+(** [list; search; anneal]: the cheap baseline, the paper's scheduler
+    under its meta schedules, and a stochastic improver. [search] tries
+    every {!Soft.Meta.names} order, so with no deadline a race is never
+    worse than [soft], the fast path, on any meta order. *)
 
 val run :
   ?pool:Pool.t ->

@@ -231,10 +231,12 @@ let result_of_state ~key ~design ~resources ~meta ~degraded st =
   }
 
 (* Build a result from an annotated engine outcome (race winner or
-   exhaustive run). Thread assignments are only known for soft-state
-   engines; for the hard ones the slots carry the step alone, like a
-   free placement. *)
-let result_of_outcome ~key ~design ~resources ~meta (o : Engine.outcome) =
+   exhaustive run). [degraded] is the whole race's: a racer the
+   deadline cut short might have won with more time. Thread
+   assignments are only known for soft-state engines; for the hard
+   ones the slots carry the step alone, like a free placement. *)
+let result_of_outcome ~key ~design ~resources ~meta ~degraded
+    (o : Engine.outcome) =
   let sched = o.Engine.schedule in
   let g = Schedule.graph sched in
   let thread_of v =
@@ -262,7 +264,7 @@ let result_of_outcome ~key ~design ~resources ~meta (o : Engine.outcome) =
     vertices = Graph.n_vertices g;
     edges = Graph.n_edges g;
     diameter = Schedule.length sched;
-    degraded = o.Engine.annot.Engine.degraded;
+    degraded;
     engine = Some o.Engine.annot.Engine.engine;
     assignment;
   }
@@ -315,7 +317,8 @@ let compute ?deadline t p =
         | Some m ->
           Metrics.race_win m
             ~engine:race.Race.winner.Engine.annot.Engine.engine);
-        result_of_outcome ~key:p.key ~design ~resources ~meta race.Race.winner)
+        result_of_outcome ~key:p.key ~design ~resources ~meta
+          ~degraded:race.Race.degraded race.Race.winner)
     | Protocol.Exhaustive ->
       let e =
         match Engine.find "bnb" with
@@ -325,7 +328,8 @@ let compute ?deadline t p =
       let ctx = Engine.ctx ?deadline ~meta () in
       let o = Engine.run ~ctx e ~resources g in
       record_engine o.Engine.annot.Engine.engine;
-      result_of_outcome ~key:p.key ~design ~resources ~meta o
+      result_of_outcome ~key:p.key ~design ~resources ~meta
+        ~degraded:o.Engine.annot.Engine.degraded o
   in
   let o = outcome result in
   if not result.Protocol.degraded then Cache.add t.cache p.key o;

@@ -4,8 +4,8 @@
    The load-bearing properties: every engine's output is a valid
    resource-constrained schedule (Schedule.check) whose soft state —
    when the engine returns one — passes the full threaded-graph
-   invariant; branch and bound degrades to its incumbent on any
-   budget. *)
+   invariant; every engine returns soon after its deadline; branch and
+   bound degrades to its incumbent on any budget. *)
 
 module Graph = Dfg.Graph
 module Generate = Dfg.Generate
@@ -29,9 +29,7 @@ let get_engine name =
 (* --- engine table ---------------------------------------------------- *)
 
 let test_registry_names () =
-  let required =
-    [ "naive"; "list"; "fdls"; "force_directed"; "anneal"; "bnb"; "soft" ]
-  in
+  let required = [ "soft"; "search"; "anneal"; "list"; "bnb"; "modulo" ] in
   List.iter
     (fun n ->
       check Alcotest.string (n ^ " resolves to itself") n
@@ -47,7 +45,6 @@ let test_registry_names () =
       ("sa", "anneal");
       ("exact", "bnb");
       ("exhaustive", "bnb");
-      ("fds", "force_directed");
       ("ims", "modulo");
       ("loop", "modulo");
       ("ANNEAL", "anneal");
@@ -69,11 +66,10 @@ let test_registry_names () =
   check
     Alcotest.(list string)
     "engine table"
-    [
-      "soft"; "naive"; "search"; "anneal"; "list"; "fdls"; "force_directed";
-      "bnb"; "modulo";
-    ]
-    (Engine.names ())
+    [ "soft"; "search"; "anneal"; "list"; "bnb"; "modulo" ]
+    (Engine.names ());
+  check Alcotest.bool "naive is not an engine" true
+    (Result.is_error (Engine.of_string "naive"))
 
 (* --- annotated runs --------------------------------------------------- *)
 
@@ -113,37 +109,92 @@ let random_graph seed =
     (Random.State.make [| seed; 0xe1 |])
     ~n ~edge_prob:0.25
 
-(* Budgets keep the expensive engines (bnb subsets, naive speculation)
-   proportionate on throwaway graphs; validity must hold at any budget. *)
+(* Budgets keep the expensive engines (bnb subsets) proportionate on
+   throwaway graphs; validity must hold at any budget. *)
 let property_ctx = Engine.ctx ~seed:7 ~budget:5_000 ()
 
-let engine_validity_prop eng seed =
+let validity_prop name run seed =
   let g = random_graph seed in
-  let o = Engine.run ~ctx:property_ctx eng ~resources:two_two g in
-  (match S.check ~resources:two_two o.Engine.schedule with
+  let schedule, state = run g in
+  (match S.check ~resources:two_two schedule with
   | Ok () -> ()
   | Error m ->
-    QCheck.Test.fail_reportf "%s: invalid schedule on seed %d: %s"
-      (Engine.name eng) seed m);
-  (match o.Engine.state with
+    QCheck.Test.fail_reportf "%s: invalid schedule on seed %d: %s" name seed m);
+  (match state with
   | None -> ()
   | Some st -> (
     match Invariant.check_all st with
     | Ok () -> ()
     | Error m ->
-      QCheck.Test.fail_reportf "%s: invariant broken on seed %d: %s"
-        (Engine.name eng) seed m));
+      QCheck.Test.fail_reportf "%s: invariant broken on seed %d: %s" name
+        seed m));
   true
 
-let engine_validity_tests =
+(* Every engine, plus the speculative reference select (Soft.Naive),
+   which is no engine but still backs the Theorem 2 cross-checks. *)
+let validity_tests =
+  let engine eng g =
+    let o = Engine.run ~ctx:property_ctx eng ~resources:two_two g in
+    (o.Engine.schedule, o.Engine.state)
+  in
+  let naive g =
+    let st = Soft.Naive.run ~resources:two_two g in
+    (Soft.Threaded_graph.to_schedule st, Some st)
+  in
   List.map
-    (fun eng ->
+    (fun (name, run) ->
       QCheck_alcotest.to_alcotest
         (QCheck.Test.make
-           ~name:(Printf.sprintf "%s: valid schedule + invariant" (Engine.name eng))
-           ~count:25 QCheck.small_nat
-           (engine_validity_prop eng)))
+           ~name:(Printf.sprintf "%s: valid schedule + invariant" name)
+           ~count:25 QCheck.small_nat (validity_prop name run)))
+    (List.map (fun e -> (Engine.name e, engine e)) (Engine.all ())
+    @ [ ("naive", naive) ])
+
+(* --- the deadline rule ------------------------------------------------ *)
+
+(* A 600-vertex / ~14k-edge DAG takes the slow engines seconds without a
+   deadline; with a 50 ms one each must return a valid schedule within
+   a quarter second. *)
+let test_deadline_honoured () =
+  let resources = R.make [ (R.Alu, 2); (R.Multiplier, 2); (R.Memory, 1) ] in
+  let g =
+    Generate.random_dag (Random.State.make [| 42 |]) ~n:600
+      ~edge_prob:(48. /. 600.)
+  in
+  List.iter
+    (fun eng ->
+      let name = Engine.name eng in
+      let t0 = Unix.gettimeofday () in
+      let ctx = Engine.ctx ~deadline:(t0 +. 0.05) () in
+      let o = Engine.run ~ctx eng ~resources g in
+      let wall = Unix.gettimeofday () -. t0 in
+      ok_or_fail (name ^ " schedule") (S.check ~resources o.Engine.schedule);
+      if wall > 0.25 then
+        Alcotest.failf "%s returned %.3f s after a 50 ms deadline" name wall)
     (Engine.all ())
+
+let test_degraded_rule () =
+  let g = Hls_bench.Suite.(find "HAL").build () in
+  let run ?deadline name =
+    (Engine.run ~ctx:(Engine.ctx ?deadline ()) (get_engine name)
+       ~resources:two_two g)
+      .Engine.annot
+  in
+  let past = Unix.gettimeofday () -. 1.0 in
+  check Alcotest.bool "no deadline, not degraded" false (run "list").Engine.degraded;
+  check Alcotest.bool "overrun deadline degrades" true
+    (run ~deadline:past "list").Engine.degraded;
+  check Alcotest.bool "far deadline, not degraded" false
+    (run ~deadline:(past +. 3600.) "anneal").Engine.degraded;
+  (* a proof of optimality does not depend on machine speed *)
+  let chain = Generate.chain ~n:4 in
+  let bnb =
+    Engine.run ~ctx:(Engine.ctx ~deadline:past ()) (get_engine "bnb")
+      ~resources:two_two chain
+  in
+  check Alcotest.bool "bnb proves the chain" true bnb.Engine.annot.Engine.optimal;
+  check Alcotest.bool "optimal is never degraded" false
+    bnb.Engine.annot.Engine.degraded
 
 (* --- determinism ------------------------------------------------------ *)
 
@@ -231,7 +282,14 @@ let () =
           Alcotest.test_case "run annotates" `Quick test_run_annotations;
           Alcotest.test_case "qor order" `Quick test_compare_qor;
         ] );
-      ("validity", engine_validity_tests);
+      ("validity", validity_tests);
+      ( "deadline",
+        [
+          Alcotest.test_case "every engine returns on time" `Quick
+            test_deadline_honoured;
+          Alcotest.test_case "late results are degraded" `Quick
+            test_degraded_rule;
+        ] );
       ( "determinism",
         [ Alcotest.test_case "seeded engines" `Quick test_seed_determinism ] );
       ( "bnb",

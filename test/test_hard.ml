@@ -132,7 +132,7 @@ let test_schedule_gantt () =
 
 let test_asap_alap () =
   let g, a, m, b = chain3 () in
-  let asap = Hard.Asap.run g in
+  let asap = S.make g ~starts:(Paths.asap_starts g) in
   check Alcotest.int "asap length = diameter" (Paths.diameter g)
     (S.length asap);
   check Alcotest.int "asap a" 0 (S.start asap a);
@@ -213,48 +213,6 @@ let prop_list_sched_valid =
       let s = Hard.List_sched.run ~resources:two_two g in
       S.check ~resources:two_two s = Ok () && S.length s >= Paths.diameter g)
 
-(* --- Force-directed ------------------------------------------------ *)
-
-let test_fds_meets_deadline () =
-  let g = (Hls_bench.Suite.find "HAL").build () in
-  let deadline = Paths.diameter g + 2 in
-  let s = Hard.Force_directed.run ~deadline g in
-  check Alcotest.bool "precedence valid" true (S.check s = Ok ());
-  check Alcotest.bool "meets deadline" true (S.length s <= deadline)
-
-let test_fds_balances_vs_asap () =
-  (* FDS under a relaxed deadline should not need more multipliers than
-     ASAP's peak (it is designed to lower it). *)
-  let g = (Hls_bench.Suite.find "AR").build () in
-  let asap_peak = S.peak_usage (Hard.Asap.run g) R.Multiplier in
-  let s = Hard.Force_directed.run ~deadline:(Paths.diameter g + 4) g in
-  let fds_peak = S.peak_usage s R.Multiplier in
-  check Alcotest.bool
-    (Printf.sprintf "fds %d <= asap %d" fds_peak asap_peak)
-    true (fds_peak <= asap_peak)
-
-let test_fds_bad_deadline () =
-  let g = (Hls_bench.Suite.find "HAL").build () in
-  (try
-     ignore (Hard.Force_directed.run ~deadline:(Paths.diameter g - 1) g);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ())
-
-let test_fds_min_units () =
-  let g = (Hls_bench.Suite.find "HAL").build () in
-  let s = Hard.Force_directed.run ~deadline:(Paths.diameter g) g in
-  let units = Hard.Force_directed.min_units s in
-  check Alcotest.bool "has both classes" true
-    (List.mem_assoc R.Alu units && List.mem_assoc R.Multiplier units)
-
-let prop_fds_valid =
-  QCheck.Test.make ~name:"FDS schedules meet deadline and precedence"
-    ~count:50 seeded_dag (fun spec ->
-      let g = graph_of spec in
-      let deadline = Paths.diameter g + 3 in
-      let s = Hard.Force_directed.run ~deadline g in
-      S.check s = Ok () && S.length s <= deadline)
-
 (* --- Exact branch and bound ---------------------------------------- *)
 
 let test_exact_chain_is_tight () =
@@ -299,53 +257,6 @@ let prop_exact_not_worse_than_list =
       let list_len = S.length (Hard.List_sched.run ~resources:two_two g) in
       S.length r.Hard.Exact_bb.schedule <= list_len
       && S.check ~resources:two_two r.Hard.Exact_bb.schedule = Ok ())
-
-(* --- FDLS (resource-constrained force-directed) --------------------- *)
-
-let test_fdls_valid_on_benchmarks () =
-  List.iter
-    (fun (e : Hls_bench.Suite.entry) ->
-      List.iter
-        (fun (label, r) ->
-          let g = e.build () in
-          let s = Hard.Fdls.run ~resources:r g in
-          check Alcotest.bool
-            (Printf.sprintf "%s/%s valid" e.name label)
-            true
-            (S.check ~resources:r s = Ok ());
-          check Alcotest.bool
-            (Printf.sprintf "%s/%s >= diameter" e.name label)
-            true
-            (S.length s >= Paths.diameter g))
-        R.fig3_all)
-    Hls_bench.Suite.fig3
-
-let test_fdls_competitive_with_list () =
-  List.iter
-    (fun (e : Hls_bench.Suite.entry) ->
-      let g = e.build () in
-      let fdls = S.length (Hard.Fdls.run ~resources:two_two g) in
-      let list_len = S.length (Hard.List_sched.run ~resources:two_two g) in
-      check Alcotest.bool
-        (Printf.sprintf "%s fdls %d within 3 of list %d" e.name fdls list_len)
-        true
-        (fdls <= list_len + 3))
-    Hls_bench.Suite.all
-
-let test_fdls_unschedulable () =
-  let g = Graph.create () in
-  let _ = Graph.add_vertex g Op.Mul in
-  (try
-     ignore (Hard.Fdls.run ~resources:(R.make [ (R.Alu, 1) ]) g);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ())
-
-let prop_fdls_valid =
-  QCheck.Test.make ~name:"FDLS schedules are always valid" ~count:50
-    seeded_dag (fun spec ->
-      let g = graph_of spec in
-      let s = Hard.Fdls.run ~resources:two_two g in
-      S.check ~resources:two_two s = Ok ())
 
 (* --- Pipelined units ------------------------------------------------ *)
 
@@ -522,13 +433,6 @@ let () =
           Alcotest.test_case "dispatch order" `Quick
             test_dispatch_order_covers_everything;
         ] );
-      ( "force-directed",
-        [
-          Alcotest.test_case "meets deadline" `Quick test_fds_meets_deadline;
-          Alcotest.test_case "balances" `Quick test_fds_balances_vs_asap;
-          Alcotest.test_case "bad deadline" `Quick test_fds_bad_deadline;
-          Alcotest.test_case "min units" `Quick test_fds_min_units;
-        ] );
       ( "exact",
         [
           Alcotest.test_case "chain tight" `Quick test_exact_chain_is_tight;
@@ -536,14 +440,6 @@ let () =
             test_exact_independent_muls;
           Alcotest.test_case "vs list on benchmarks" `Slow
             test_exact_beats_or_matches_list;
-        ] );
-      ( "fdls",
-        [
-          Alcotest.test_case "valid on benchmarks" `Slow
-            test_fdls_valid_on_benchmarks;
-          Alcotest.test_case "competitive" `Quick
-            test_fdls_competitive_with_list;
-          Alcotest.test_case "unschedulable" `Quick test_fdls_unschedulable;
         ] );
       ( "pipeline",
         [
@@ -562,6 +458,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_list_sched_valid; prop_fds_valid; prop_fdls_valid;
-            prop_exact_not_worse_than_list ] );
+          [ prop_list_sched_valid; prop_exact_not_worse_than_list ] );
     ]

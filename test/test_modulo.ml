@@ -333,15 +333,21 @@ let test_ims_trivial_and_fallback () =
     check Alcotest.int "empty kernel II 1" 1 ms.MS.ii;
     check Alcotest.bool "no fallback" false st.Ims.serial_fallback
   | Error m -> Alcotest.fail m);
-  (* max_ii below MII forces the serial fallback, which is still valid *)
+  (* max_ii below MII, or a stop request (a passed deadline), forces the
+     serial fallback, which is still valid *)
   let g = Hls_bench.Fir.loop () in
-  match Ims.run ~max_ii:1 ~resources:two_two g with
-  | Ok (ms, st) ->
-    check Alcotest.bool "fallback used" true st.Ims.serial_fallback;
-    check Alcotest.bool "fallback is valid" true
-      (MS.check ~resources:two_two ms = Ok ());
-    check Alcotest.bool "fallback II >= MII" true (ms.MS.ii >= st.Ims.mii)
-  | Error m -> Alcotest.fail m
+  List.iter
+    (function
+      | Ok (ms, st) ->
+        check Alcotest.bool "fallback used" true st.Ims.serial_fallback;
+        check Alcotest.bool "fallback is valid" true
+          (MS.check ~resources:two_two ms = Ok ());
+        check Alcotest.bool "fallback II >= MII" true (ms.MS.ii >= st.Ims.mii)
+      | Error m -> Alcotest.fail m)
+    [
+      Ims.run ~max_ii:1 ~resources:two_two g;
+      Ims.run ~should_stop:(fun () -> true) ~resources:two_two g;
+    ]
 
 let test_ims_budget_never_invalid () =
   (* a starved budget may cost II, never validity *)

@@ -724,17 +724,25 @@ let test_service_degraded_fallback () =
   (match Schedule.check ~resources (T.to_schedule st) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "degraded schedule invalid: %s" m);
-  (* Degraded results answer the request but are never cached. *)
+  (* Degraded results answer the request but are never cached: the
+     fast path's fast-placed tail, and a race whose racers all overran
+     (they finish after the deadline without proving optimality). *)
   let service = Service.create () in
-  match Service.prepare service (request_for ~deadline_ms:0.0 "EF") with
-  | Error m -> Alcotest.fail m
-  | Ok p ->
-    let o, cached = Service.execute ~deadline service p in
-    check Alcotest.bool "computed, not cached" false cached;
-    check Alcotest.bool "marked degraded" true
-      (Service.result_of o).Protocol.degraded;
-    check Alcotest.bool "degraded result not stored" false
-      (Service.cached service p)
+  List.iter
+    (fun req ->
+      match Service.prepare service req with
+      | Error m -> Alcotest.fail m
+      | Ok p ->
+        let o, cached = Service.execute ~deadline service p in
+        check Alcotest.bool "computed, not cached" false cached;
+        check Alcotest.bool "marked degraded" true
+          (Service.result_of o).Protocol.degraded;
+        check Alcotest.bool "degraded result not stored" false
+          (Service.cached service p))
+    [
+      request_for ~deadline_ms:0.0 "EF";
+      request_for ~deadline_ms:0.0 ~effort:Protocol.Race "EF";
+    ]
 
 let test_service_save_load () =
   let service = Service.create () in
@@ -1389,15 +1397,19 @@ let qcheck_cases =
 
 (* --- race mode -------------------------------------------------------- *)
 
-(* A race is QoR-no-worse than each of its racers. *)
+(* A race is QoR-no-worse than each of its racers, and than the fast
+   path ([soft]) under every meta schedule: [soft] left the default
+   portfolio because [search] tries all of its orders. *)
 let race_no_worse design resources =
   let g = design () in
   let engines = Race.default_portfolio () in
   match Race.run ~engines ~resources g with
   | Error m -> Alcotest.fail m
   | Ok race ->
+    let csteps = race.Race.winner.Engine.annot.Engine.csteps in
     check Alcotest.bool "winner schedule valid" true
       (Schedule.check ~resources race.Race.winner.Engine.schedule = Ok ());
+    check Alcotest.bool "no deadline, not degraded" false race.Race.degraded;
     List.iter
       (fun (e : Race.entry) ->
         match e.Race.outcome with
@@ -1406,14 +1418,32 @@ let race_no_worse design resources =
           check Alcotest.bool
             (Printf.sprintf "race no worse than %s" e.Race.engine)
             true
-            (race.Race.winner.Engine.annot.Engine.csteps
-            <= o.Engine.annot.Engine.csteps))
-      race.Race.entries
+            (csteps <= o.Engine.annot.Engine.csteps))
+      race.Race.entries;
+    let soft = Option.get (Engine.find "soft") in
+    List.iter
+      (fun meta ->
+        let o = Engine.run ~ctx:(Engine.ctx ~meta ()) soft ~resources g in
+        check Alcotest.bool
+          (Printf.sprintf "race no worse than soft/%s" meta)
+          true
+          (csteps <= o.Engine.annot.Engine.csteps))
+      Soft.Meta.names
 
 let test_race_fig1 () = race_no_worse Hls_bench.Fig1.graph Hls_bench.Fig1.resources
 
 let test_race_hal () =
   race_no_worse Hls_bench.Suite.(find "HAL").build Resources.fig3_2alu_2mul
+
+let test_race_random () =
+  List.iter
+    (fun seed ->
+      race_no_worse
+        (fun () ->
+          Dfg.Generate.random_dag (Random.State.make [| seed |]) ~n:40
+            ~edge_prob:0.1)
+        (default_resources ()))
+    [ 1; 2; 3 ]
 
 let test_race_subset_and_errors () =
   let g = Hls_bench.Fig1.graph () in
@@ -1526,6 +1556,7 @@ let () =
         [
           Alcotest.test_case "fig1 no worse" `Quick test_race_fig1;
           Alcotest.test_case "HAL no worse" `Quick test_race_hal;
+          Alcotest.test_case "random DAGs no worse" `Quick test_race_random;
           Alcotest.test_case "subsets and errors" `Quick
             test_race_subset_and_errors;
         ] );
