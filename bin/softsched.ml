@@ -156,9 +156,11 @@ module Tel_cli = struct
         value & flag
         & info [ "stats" ]
             ~doc:
-              "Print scheduler telemetry counters after the run: positions \
-               scanned, cross edges re-tightened, degree maxima, final \
-               diameter.")
+              "Print scheduler telemetry counters after the run: schedule \
+               calls, positions scanned, tie-breaks, cross edges \
+               re-tightened. Commands that end with one scheduling state \
+               add its state edges, thread degrees, diameter and ordered \
+               pairs.")
     in
     Term.(
       const (fun trace text stats -> { trace; text; stats })
@@ -177,31 +179,41 @@ module Tel_cli = struct
         Hashtbl.replace counts name (i + 1);
         (k, Printf.sprintf "%s %d" name i))
 
-  (* Install a counting + recording sink around [f] when any telemetry
-     output was requested, then emit the requested artifacts.
-     [vertex] renders vertex ids; [tracks_of] names the trace tracks
-     from [f]'s result (the scheduling state knows its threads).
-     [log] receives the "wrote …" notes and the counter dump — batch
-     and serve point it at stderr, their stdout belongs to the
-     protocol. *)
-  let run ?(log = stdout) o ~vertex ~tracks_of f =
+  (* What --stats says about one final scheduling state, read from the
+     state itself (the counters sum over every graph scheduled). *)
+  let state_lines state =
+    let module T = Soft.Threaded_graph in
+    let s = T.stats ~with_softness:true state in
+    [
+      Printf.sprintf "state edges           %8d" s.T.n_state_edges;
+      Printf.sprintf "max thread in-degree  %8d  (out-degree %d)"
+        s.T.max_thread_in_degree s.T.max_thread_out_degree;
+      Printf.sprintf "final diameter        %8d" (T.diameter state);
+    ]
+    @
+    match s.T.ordered_pairs with
+    | Some p -> [ Printf.sprintf "ordered pairs |≺_S|   %8d" p ]
+    | None -> []
+
+  (* Install a sink around [f] when any telemetry output was requested,
+     then emit the requested artifacts. Events are recorded only for a
+     trace file. [vertex] renders vertex ids; [state_of] picks the final
+     scheduling state out of [f]'s result, when it has one: it names the
+     trace tracks and adds the state lines to --stats. [log] receives
+     the "wrote …" notes and the counter dump — batch and serve point
+     it at stderr, their stdout belongs to the protocol. *)
+  let run ?(log = stdout) o ~vertex ~state_of f =
     if not (active o) then f ()
     else begin
       let counters = Telemetry.Counters.create () in
       let recorder = Telemetry.Recorder.create () in
-      let sink =
-        Telemetry.Sink.tee
-          (Telemetry.Counters.sink counters)
-          (Telemetry.Recorder.sink recorder)
+      let record = o.trace <> None || o.text <> None in
+      let sink e =
+        Telemetry.Counters.sink counters e;
+        if record then Telemetry.Recorder.push recorder e
       in
-      (* Softness (|≺_S|) costs a transitive closure per sample; only
-         pay for it when the counters are going to be printed. *)
-      if o.stats then Telemetry.set_softness_period 1;
-      let result =
-        Fun.protect
-          ~finally:(fun () -> Telemetry.set_softness_period 0)
-          (fun () -> Telemetry.with_sink sink f)
-      in
+      let result = Telemetry.with_sink sink f in
+      let state = state_of result in
       let events = Telemetry.Recorder.events recorder in
       let write_or_fail path f =
         (try f () with
@@ -211,9 +223,9 @@ module Tel_cli = struct
       in
       (match o.trace with
       | Some path ->
+        let tracks = Option.fold ~none:[] ~some:tracks_of_state state in
         write_or_fail path (fun () ->
-            Telemetry.Chrome_trace.write ~tracks:(tracks_of result) ~path
-              events)
+            Telemetry.Chrome_trace.write ~tracks ~path events)
       | None -> ());
       (match o.text with
       | Some path ->
@@ -222,7 +234,9 @@ module Tel_cli = struct
       | None -> ());
       if o.stats then
         output_string log
-          (Telemetry.Counters.to_string (Telemetry.Counters.snapshot counters));
+          (Telemetry.Counters.to_string
+             ?state:(Option.map state_lines state)
+             (Telemetry.Counters.snapshot counters));
       flush log;
       result
     end
@@ -248,10 +262,7 @@ let run_schedule design resources meta_s engine race seed tel =
   let schedule, state, annot =
     Tel_cli.run tel
       ~vertex:(fun v -> Dfg.Graph.name g v)
-      ~tracks_of:(fun (_, state, _) ->
-        match state with
-        | Some state -> Tel_cli.tracks_of_state state
-        | None -> [])
+      ~state_of:(fun (_, state, _) -> state)
       (fun () ->
         match (race, engine) with
         | Some spec, _ -> (
@@ -322,7 +333,7 @@ let run_table tel =
   term_of_failure @@ fun () ->
   Tel_cli.run tel
     ~vertex:(fun v -> Printf.sprintf "v%d" v)
-    ~tracks_of:(fun () -> [])
+    ~state_of:(fun () -> None)
     (fun () ->
       Printf.printf "%-4s %-12s" "BM" "Sched. Alg.";
       List.iter (fun (l, _) -> Printf.printf " %8s" l) Hard.Resources.fig3_all;
@@ -366,7 +377,7 @@ let run_dot design with_schedule resources tel =
     let s, _ =
       Tel_cli.run tel
         ~vertex:(fun v -> Dfg.Graph.name g v)
-        ~tracks_of:(fun (_, state) -> Tel_cli.tracks_of_state state)
+        ~state_of:(fun (_, state) -> Some state)
         (fun () ->
           let state = Soft.Scheduler.run ~resources g in
           (Soft.Threaded_graph.to_schedule state, state))
@@ -397,7 +408,7 @@ let run_verilog design resources meta_s tel =
   let state =
     Tel_cli.run tel
       ~vertex:(fun v -> Dfg.Graph.name g v)
-      ~tracks_of:Tel_cli.tracks_of_state
+      ~state_of:Option.some
       (fun () -> Soft.Scheduler.run ~meta ~resources g)
   in
   let binding = Rtl.Binding.of_state state in
@@ -427,7 +438,7 @@ let run_sim design resources inputs vcd_path testbench tel =
   let state =
     Tel_cli.run tel
       ~vertex:(fun v -> Dfg.Graph.name g v)
-      ~tracks_of:Tel_cli.tracks_of_state
+      ~state_of:Option.some
       (fun () -> Soft.Scheduler.run ~resources g)
   in
   let binding = Rtl.Binding.of_state state in
@@ -751,7 +762,7 @@ let run_batch jobs cache_size cache_file tel =
   let service = Serve.Service.create ~cache_capacity:cache_size ?metrics () in
   load_cache_or_fail service cache_file;
   let stats =
-    Tel_cli.run ~log:stderr tel ~vertex:numeric_vertex ~tracks_of:(fun _ -> [])
+    Tel_cli.run ~log:stderr tel ~vertex:numeric_vertex ~state_of:(fun _ -> None)
       (fun () -> Serve.Batch.run_channels service ~jobs stdin stdout)
   in
   save_cache service cache_file;
@@ -820,7 +831,7 @@ let run_serve socket tcp jobs max_connections cache_size cache_file
     | None -> ()
     | Some path -> dump_metrics service metrics path
   in
-  Tel_cli.run ~log:stderr tel ~vertex:numeric_vertex ~tracks_of:(fun _ -> [])
+  Tel_cli.run ~log:stderr tel ~vertex:numeric_vertex ~state_of:(fun _ -> None)
     (fun () ->
       let daemon =
         Serve.Daemon.start service ?socket ?tcp ~jobs ~max_connections ()

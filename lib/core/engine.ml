@@ -109,31 +109,10 @@ let compare_qor a b =
 
 (* -- the shared threaded run ------------------------------------------- *)
 
-(* Past the deadline we stop optimising: each remaining operation goes
-   to its first feasible position (commit_at keeps the state invariants,
-   so the result is still a valid threaded schedule — just not a
-   diameter-minimising one). Zero-resource ops have no positions and are
-   placed free, same as the normal path. *)
-let fast_place st v =
-  match Threaded_graph.feasible_positions st v with
-  | [] -> Threaded_graph.schedule st v
-  | p :: _ -> Threaded_graph.commit_at st v p
-
 let threaded_run ?deadline ?tie ~meta ~resources g =
-  let order = meta g in
   let st = Threaded_graph.create g ~resources in
-  let degraded = ref false in
-  List.iter
-    (fun v ->
-      if not (Threaded_graph.is_scheduled st v) then
-        if !degraded then fast_place st v
-        else begin
-          if expired deadline then degraded := true;
-          if !degraded then fast_place st v
-          else Threaded_graph.schedule ?tie st v
-        end)
-    order;
-  (st, !degraded)
+  Threaded_graph.schedule_all ?tie st (meta g);
+  (st, expired deadline)
 
 let resolve_meta ~resources name =
   match Meta.of_name ~resources name with
@@ -145,10 +124,10 @@ let resolve_meta ~resources name =
 
 (* -- the built-in portfolio -------------------------------------------- *)
 
-(* Every engine below returns soon after [ctx.deadline]: the threaded
-   ones stop improving and keep their best so far, [bnb] and [modulo]
-   fall back to their list-scheduled incumbent, and [list] is a single
-   pass. *)
+(* Every engine below returns soon after [ctx.deadline]: [soft] and
+   [list] are single linear passes, [search] and [anneal] stop improving
+   and keep their best so far, and [bnb] and [modulo] fall back to their
+   list-scheduled incumbent. *)
 
 module Soft_engine = struct
   let name = "soft"

@@ -79,7 +79,7 @@ val run_traced :
   ?ctx:ctx ->
   engine ->
   resources:Resources.t ->
-  sink:Telemetry.Sink.t ->
+  sink:Telemetry.sink ->
   Graph.t ->
   outcome
 (** {!run} with the telemetry sink installed for the duration. *)
@@ -126,10 +126,10 @@ val threaded_run :
   resources:Resources.t ->
   Graph.t ->
   Threaded_graph.t * bool
-(** One deadline-degrading pass of the threaded scheduler: feed the
-    meta order through {!Threaded_graph.schedule} until the deadline
-    passes, then fast-place the tail (first feasible position — still a
-    valid threaded schedule). Returns [(state, degraded)]. This is the
-    serving layer's scheduling step ([Serve.Service] delegates here),
-    kept in lib/core so the [soft] engine and the service are the same
-    code path by construction. *)
+(** One pass of the threaded scheduler: feed the meta order through
+    {!Threaded_graph.schedule}. A call is linear (Theorem 3), so the
+    pass is never cut short; [degraded] is the deadline rule of {!run}:
+    the deadline had expired when the pass ended. Returns
+    [(state, degraded)]. This is the serving layer's scheduling step
+    ([Serve.Service] delegates here), kept in lib/core so the [soft]
+    engine and the service are the same code path by construction. *)

@@ -83,7 +83,10 @@ let make_scratch n ~width =
      vertex, which belongs to no thread and so has no slot.
    - [front]: flat V×K, [front.(v*K+i)] the last member of thread i
      that is ⪯_S v, or -1 — v's up-set, one vertex per thread. Rows of
-     unscheduled vertices are all -1. *)
+     unscheduled vertices are all -1.
+   - [n_explicit]: the number of explicit edges (filled slots plus free
+     neighbours, counted once per edge), kept by the two edge
+     primitives so the state-edge count is O(K). *)
 type t = {
   graph : Graph.t;
   classes : Resources.fu_class array; (* thread -> its unit class *)
@@ -102,6 +105,7 @@ type t = {
   mutable free_preds : int list array;
   mutable free_succs : int list array;
   mutable front : int array;
+  mutable n_explicit : int;
   mutable n_scheduled : int;
   reach : reach_box;
   mutable scratch : scratch;
@@ -145,6 +149,7 @@ let create graph ~resources =
     free_preds = Array.make cap [];
     free_succs = Array.make cap [];
     front = Array.make (cap * k) (-1);
+    n_explicit = 0;
     n_scheduled = 0;
     reach = { index = Reach.of_graph graph; gen = Graph.generation graph };
     scratch = make_scratch cap ~width:k;
@@ -182,8 +187,7 @@ let graph_reaches g u v =
   !found
 
 let emit_reach_update ~rows ~words ~rebuilt =
-  if Tel.enabled () then
-    Tel.emit (fun s -> s.Tel.Sink.reach_update ~rows ~words ~rebuilt)
+  if Tel.enabled () then Tel.emit (Tel.Reach_update { rows; words; rebuilt })
 
 (* Catch the closure up with the graph's mutation journal. Additions are
    monotone, so [Reach.add_vertex]/[Reach.add_edge] replay them exactly.
@@ -533,17 +537,24 @@ let state_graph t =
   iter_scheduled (iter_succs (Graph.add_edge g) t) t;
   g
 
-(* Edge count and Lemma-7 degree maxima of the current state — shared by
-   [stats] and the telemetry end-of-call summary, so the two can never
-   disagree. *)
+(* Lemma 7's thread degrees of a scheduled vertex: its thread neighbour
+   plus its filled slots (free neighbours belong to no thread). *)
+let in_degree t v = (if t.prev.(v) >= 0 then 1 else 0) + filled t t.ins v
+let out_degree t v = (if t.next.(v) >= 0 then 1 else 0) + filled t t.outs v
+
+(* Implicit thread edges plus explicit ones, without a pass. *)
+let state_edges t =
+  Array.fold_left (fun acc c -> acc + imax 0 (c - 1)) t.n_explicit t.count
+
+(* Edge count and Lemma-7 degree maxima by a full pass over the state,
+   for [stats]. *)
 let edge_degree_stats t =
   let n_state_edges = ref 0 and max_in = ref 0 and max_out = ref 0 in
-  let one x = if x >= 0 then 1 else 0 in
   iter_scheduled
     (fun v ->
-      let d_out = one t.next.(v) + filled t t.outs v in
+      let d_out = out_degree t v in
       n_state_edges := !n_state_edges + d_out + List.length t.free_succs.(v);
-      max_in := imax !max_in (one t.prev.(v) + filled t t.ins v);
+      max_in := imax !max_in (in_degree t v);
       max_out := imax !max_out d_out)
     t;
   (!n_state_edges, !max_in, !max_out)
@@ -592,10 +603,9 @@ let scan_positions ?(trace = false) t v ~intrinsic_src ~intrinsic_snk f =
       imax sdist_prev intrinsic_src + imax tdist_next intrinsic_snk + delay_v
     in
     if trace then
-      Tel.emit (fun sink ->
-          sink.Tel.Sink.candidate ~v ~thread:k
-            ~after:(if after < 0 then None else Some after)
-            ~cost);
+      Tel.emit
+        (Tel.Candidate
+           { v; thread = k; after = (if after < 0 then None else Some after); cost });
     f k after cost
   in
   let scanned = ref 0 in
@@ -694,8 +704,8 @@ let add_explicit_edge t p v =
     else t.free_succs.(p) <- v :: t.free_succs.(p);
     if tp >= 0 then fill t.ins ((v * k) + tp) p
     else t.free_preds.(v) <- p :: t.free_preds.(v);
-    if Tel.enabled () then
-      Tel.emit (fun s -> s.Tel.Sink.edge_added ~src:p ~dst:v)
+    t.n_explicit <- t.n_explicit + 1;
+    if Tel.enabled () then Tel.emit (Tel.Edge_added { src = p; dst = v })
   end
 
 let remove_explicit_edge t p v =
@@ -704,8 +714,8 @@ let remove_explicit_edge t p v =
   else t.free_succs.(p) <- List.filter (fun x -> x <> v) t.free_succs.(p);
   if tp >= 0 then t.ins.((v * k) + tp) <- -1
   else t.free_preds.(v) <- List.filter (fun x -> x <> p) t.free_preds.(v);
-  if Tel.enabled () then
-    Tel.emit (fun s -> s.Tel.Sink.edge_removed ~src:p ~dst:v)
+  t.n_explicit <- t.n_explicit - 1;
+  if Tel.enabled () then Tel.emit (Tel.Edge_removed { src = p; dst = v })
 
 (* p's explicit succ / q's explicit pred in thread k, or -1. *)
 let succ_in_thread t p k = t.outs.((p * t.width) + k)
@@ -852,30 +862,32 @@ let commit_at t v position =
 
 type tie_break = [ `First | `Balance | `Pack ]
 
-(* End-of-call telemetry summary: O(V+E) recomputation of diameter,
-   edge count and degree maxima (plus an optional transitive-closure
-   softness sample) — only ever run with a sink installed, never on the
-   production path. *)
+(* End-of-call telemetry summary, from values the state keeps: the
+   incremental labels' diameter, the running edge count, and the degrees
+   of v and its state neighbours. Every edge a commit adds ends at v and
+   every other change removes an edge, so no other vertex's degree can
+   have grown: the running maximum over calls equals that of a full
+   per-call pass. Only ever run with a sink installed. *)
 let emit_schedule_done t ~v ~thread ~scanned ~t0 =
-  let diameter = diameter t in
-  let state_edges, max_in, max_out = edge_degree_stats t in
-  let ordered_pairs =
-    if Tel.softness_due () then
-      Some (Reach.count_pairs (Reach.of_graph (state_graph t)))
-    else None
+  let max_in = ref 0 and max_out = ref 0 in
+  let see _ x =
+    max_in := imax !max_in (in_degree t x);
+    max_out := imax !max_out (out_degree t x)
   in
+  see v v;
+  iter_preds see t v;
+  iter_succs see t v;
   let summary =
     {
       Tel.scanned;
-      diameter;
-      state_edges;
-      max_thread_in_degree = max_in;
-      max_thread_out_degree = max_out;
-      ordered_pairs;
+      diameter = diameter t;
+      state_edges = state_edges t;
+      max_thread_in_degree = !max_in;
+      max_thread_out_degree = !max_out;
       elapsed_ns = Tel.now_ns () - t0;
     }
   in
-  Tel.emit (fun s -> s.Tel.Sink.schedule_done ~v ~thread ~summary)
+  Tel.emit (Tel.Schedule_done { v; thread; summary })
 
 let tie_rule_name = function
   | `First -> "first"
@@ -887,13 +899,9 @@ let schedule ?(tie = `First) t v =
   if not (scheduled t v) then begin
     let tel = Tel.enabled () in
     let t0 = if tel then Tel.now_ns () else 0 in
-    if tel then
-      Tel.emit (fun s ->
-          s.Tel.Sink.schedule_start ~v ~name:(Graph.name t.graph v));
+    if tel then Tel.emit (Tel.Schedule_start { v; name = Graph.name t.graph v });
     if is_free_op t v then begin
-      if tel then
-        Tel.emit (fun s ->
-            s.Tel.Sink.free_placed ~v ~name:(Graph.name t.graph v));
+      if tel then Tel.emit (Tel.Free_placed { v; name = Graph.name t.graph v });
       commit_free t v;
       if tel then emit_schedule_done t ~v ~thread:None ~scanned:0 ~t0
     end
@@ -940,8 +948,7 @@ let schedule ?(tie = `First) t v =
              (Graph.name t.graph v)
              (Op.to_string (Graph.op t.graph v)));
       if tel && !ties > 1 then
-        Tel.emit (fun s ->
-            s.Tel.Sink.tie_break ~v ~rule:(tie_rule_name tie) ~ties:!ties);
+        Tel.emit (Tel.Tie_break { v; rule = tie_rule_name tie; ties = !ties });
       let best_pos =
         {
           thread = !best_thread;
@@ -949,9 +956,9 @@ let schedule ?(tie = `First) t v =
         }
       in
       if tel then
-        Tel.emit (fun s ->
-            s.Tel.Sink.chosen ~v ~thread:best_pos.thread
-              ~after:best_pos.after ~cost:!best_cost);
+        Tel.emit
+          (Tel.Chosen
+             { v; thread = best_pos.thread; after = best_pos.after; cost = !best_cost });
       commit t v best_pos;
       if tel then
         emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned ~t0

@@ -25,11 +25,11 @@ val create : ?rate:int -> unit -> t
 (** [rate] defaults to 1 (audit every commit).
     @raise Invalid_argument if [rate < 1]. *)
 
-val sink : t -> state:(unit -> Soft.Threaded_graph.t option) -> Telemetry.Sink.t
-(** A sink auditing [state ()] on sampled [schedule_done] events. The
+val sink : t -> state:(unit -> Soft.Threaded_graph.t option) -> Telemetry.sink
+(** A sink auditing [state ()] on sampled [Schedule_done] events. The
     state is fetched per check (it may not exist yet while earlier flow
-    stages run — [None] skips the check); tee it with counter or
-    recorder sinks as usual. *)
+    stages run — [None] skips the check); call it beside counter or
+    recorder sinks from one combined sink. *)
 
 val check_now : t -> Soft.Threaded_graph.t -> unit
 (** Force an unsampled audit of [state] — used at phase boundaries so

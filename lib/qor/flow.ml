@@ -33,7 +33,11 @@ let run ?audit_rate ?(meta = Soft.Meta.topological) ?tool_version ~resources
     let c = Telemetry.Counters.sink counters in
     match auditor with
     | None -> c
-    | Some a -> Telemetry.Sink.tee c (Audit.sink a ~state:(fun () -> !state_ref))
+    | Some a ->
+      let audit = Audit.sink a ~state:(fun () -> !state_ref) in
+      fun e ->
+        c e;
+        audit e
   in
   let audit_boundary () =
     match (auditor, !state_ref) with

@@ -30,20 +30,12 @@ let metric ?(units = "") ?(direction = Info) name value =
 let metric_i ?units ?direction name value =
   metric ?units ?direction name (float_of_int value)
 
-(* Gauges (the [last_*] family) are not monotone: a per-span delta would
-   be meaningless, so they report the end-of-span value instead. *)
 let counter_deltas ~(before : Telemetry.Counters.snapshot)
     ~(after : Telemetry.Counters.snapshot) =
-  let b = Telemetry.Counters.to_alist before in
-  let a = Telemetry.Counters.to_alist after in
-  List.map
-    (fun (k, va) ->
-      let is_gauge = String.length k >= 5 && String.sub k 0 5 = "last_" in
-      if is_gauge then (k, va)
-      else
-        let vb = Option.value ~default:0.0 (List.assoc_opt k b) in
-        (k, va -. vb))
-    a
+  List.map2
+    (fun (k, vb) (_, va) -> (k, va -. vb))
+    (Telemetry.Counters.to_alist before)
+    (Telemetry.Counters.to_alist after)
 
 let allocated_words () =
   let s = Gc.quick_stat () in

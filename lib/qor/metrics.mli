@@ -61,5 +61,4 @@ val find : span list -> phase:string -> name:string -> metric option
 val counter_deltas :
   before:Telemetry.Counters.snapshot -> after:Telemetry.Counters.snapshot ->
   (string * float) list
-(** Per-key difference of the two snapshots' monotone counters; gauge
-    keys (the [last_*] family) report the [after] value instead. *)
+(** Per-key difference of the two snapshots. *)

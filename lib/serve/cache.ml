@@ -80,10 +80,6 @@ let with_lock (s : 'a shard) f =
   Mutex.lock s.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
-let tell op key =
-  if Telemetry.enabled () then
-    Telemetry.emit (fun s -> s.Telemetry.Sink.cache_event ~op ~key)
-
 (* Shard selection by hash prefix: fingerprint keys open with hex
    digits (the fingerprint itself), which are already uniformly
    distributed — read up to eight of them. Keys that don't look like a
@@ -143,22 +139,15 @@ let evict_one (t : 'a t) =
       match !best with
       | None -> ()
       | Some (s, tick) ->
-        let evicted =
-          with_lock s (fun () ->
-              match s.lru with
-              | Some n when n.tick = tick ->
-                unlink s n;
-                Hashtbl.remove s.table n.key;
-                s.evictions <- s.evictions + 1;
-                Atomic.decr t.size;
-                Some n.key
-              | Some _ | None -> None)
-        in
-        (match evicted with
-        | Some key ->
-          tell `Evict key;
-          attempt ()  (* keep going while still over capacity *)
-        | None -> attempt ())
+        with_lock s (fun () ->
+            match s.lru with
+            | Some n when n.tick = tick ->
+              unlink s n;
+              Hashtbl.remove s.table n.key;
+              s.evictions <- s.evictions + 1;
+              Atomic.decr t.size
+            | Some _ | None -> ());
+        attempt ()  (* keep going while still over capacity *)
     end
   in
   attempt ()
@@ -167,21 +156,17 @@ let evict_one (t : 'a t) =
 
 let find (t : 'a t) key =
   let s = shard_of t key in
-  let hit =
-    with_lock s (fun () ->
-        match Hashtbl.find_opt s.table key with
-        | Some n ->
-          unlink s n;
-          stamp t n;
-          push_front s n;
-          s.hits <- s.hits + 1;
-          Some n.value
-        | None ->
-          s.misses <- s.misses + 1;
-          None)
-  in
-  (match hit with Some _ -> tell `Hit key | None -> tell `Miss key);
-  hit
+  with_lock s (fun () ->
+      match Hashtbl.find_opt s.table key with
+      | Some n ->
+        unlink s n;
+        stamp t n;
+        push_front s n;
+        s.hits <- s.hits + 1;
+        Some n.value
+      | None ->
+        s.misses <- s.misses + 1;
+        None)
 
 let add (t : 'a t) key value =
   let s = shard_of t key in

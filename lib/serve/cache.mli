@@ -10,9 +10,8 @@
     persistence format) is exactly that of a single LRU — the sharded
     and single-mutex caches are QCheck-equivalent by test.
 
-    Hit/miss/eviction traffic is tallied locally ({!stats}) and
-    mirrored to the telemetry stream ({!Telemetry.Counters} [cache_*]
-    fields) whenever a sink is installed. *)
+    Hit/miss/eviction traffic is tallied in {!stats}, which the batch
+    summary line and the daemon's stats reply report. *)
 
 type 'a t
 

@@ -355,7 +355,7 @@ let to_prometheus ?cache t =
       counter "softsched_requests_cached_total"
         "Requests served from the fingerprint cache." t.cached;
       counter "softsched_requests_degraded_total"
-        "Requests whose deadline overran (fast-placed tail)." t.degraded;
+        "Requests answered after their deadline." t.degraded;
       counter "softsched_busy_turnaways_total"
         "Connections turned away at the connection cap." t.busy_turnaways;
       counter "softsched_slow_requests_total"

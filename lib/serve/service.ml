@@ -8,8 +8,8 @@ open Import
    what buys the warm-path throughput, since for the paper-sized
    benchmarks fingerprinting costs about as much as scheduling.
 
-   Degraded results (deadline overran, tail fast-placed) are never
-   cached: they reflect load at one moment, not the design. *)
+   Degraded results (returned after their deadline) are never cached:
+   they reflect load at one moment, not the design. *)
 
 (* A result plus lazily memoized renderings of its response core (with
    and without the schedule array). The fields are write-once-per-value

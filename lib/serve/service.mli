@@ -77,9 +77,9 @@ val execute :
     already computing waits for that call and returns its answer as
     cached, so duplicate requests in flight are scheduled once and get
     the same reply at any parallelism. [deadline] is an absolute
-    [Unix.gettimeofday] instant: once it passes, the remaining
-    operations are fast-placed (first feasible position — still a valid
-    threaded schedule, marked [degraded]) instead of diameter-optimised.
+    [Unix.gettimeofday] instant: a result that is ready only after it
+    has passed is marked [degraded] (and not cached); the schedule
+    itself does not depend on it.
     [span] (if given) accumulates the cache-lookup and schedule phase
     durations; timing never changes the result. May raise (scheduler
     errors, evicted-and-unbuildable specs); callers run it under

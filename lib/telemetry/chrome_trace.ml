@@ -108,19 +108,6 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
             ("args",
              Printf.sprintf "{\"rows\":%d,\"words\":%d}" rows words);
           ]
-      | Events.Cache_event { op; key } ->
-        record ctx
-          [
-            ("name",
-             str
-               (match op with
-               | `Hit -> "cache hit"
-               | `Miss -> "cache miss"
-               | `Evict -> "cache evict"));
-            ("cat", str "cache"); ("ph", str "i"); ("ts", us_of_ns ctx at_ns);
-            ("pid", "1"); ("tid", "0"); ("s", str "p");
-            ("args", Printf.sprintf "{\"key\":%s}" (str key));
-          ]
       | Events.Schedule_done { v; thread; summary } ->
         let ts, name =
           match Hashtbl.find_opt starts v with
@@ -150,10 +137,7 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
           ];
         counter ctx ~ts:at_ns ~series:"diameter" ~value:summary.Events.diameter;
         counter ctx ~ts:at_ns ~series:"state_edges"
-          ~value:summary.Events.state_edges;
-        (match summary.Events.ordered_pairs with
-        | Some p -> counter ctx ~ts:at_ns ~series:"ordered_pairs" ~value:p
-        | None -> ()))
+          ~value:summary.Events.state_edges)
     events;
   Buffer.add_string ctx.buf
     (Printf.sprintf

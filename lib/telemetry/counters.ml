@@ -1,34 +1,7 @@
-(* Monotonic counters over the scheduler's event stream. One mutable
-   record per collection; [sink] wires it to the event hooks, [snapshot]
-   freezes it. The [last_*] fields mirror the most recent end-of-call
-   summary, so after a full run they agree with
-   [Threaded_graph.stats] by construction. *)
-
-type t = {
-  mutable schedule_calls : int;
-  mutable free_placements : int;
-  mutable positions_scanned : int;
-  mutable max_positions_in_call : int;
-  mutable candidates : int;
-  mutable tie_breaks : int;
-  mutable edges_added : int;
-  mutable edges_removed : int;
-  mutable max_in_degree_observed : int;
-  mutable max_out_degree_observed : int;
-  mutable last_diameter : int;
-  mutable last_state_edges : int;
-  mutable last_max_in_degree : int;
-  mutable last_max_out_degree : int;
-  mutable last_ordered_pairs : int option;
-  mutable elapsed_ns : int;
-  mutable closure_rows_touched : int;
-  mutable closure_words_ored : int;
-  mutable closure_rebuilds : int;
-  mutable closure_incremental_updates : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_evictions : int;
-}
+(* Sums and maxima over the scheduler's event stream. One immutable
+   record per collection, replaced under a lock as each event is folded
+   in, so the totals are exact however many domains emit at once and a
+   snapshot is just the current record. *)
 
 type snapshot = {
   schedule_calls : int;
@@ -39,25 +12,18 @@ type snapshot = {
   tie_breaks : int;
   edges_added : int;
   edges_removed : int;
-  cross_edges_touched : int;
   max_in_degree_observed : int;
   max_out_degree_observed : int;
-  last_diameter : int;
-  last_state_edges : int;
-  last_max_in_degree : int;
-  last_max_out_degree : int;
-  last_ordered_pairs : int option;
   elapsed_ns : int;
   closure_rows_touched : int;
   closure_words_ored : int;
   closure_rebuilds : int;
   closure_incremental_updates : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
 }
 
-let create () =
+type t = { lock : Mutex.t; mutable totals : snapshot }
+
+let zero =
   {
     schedule_calls = 0;
     free_placements = 0;
@@ -69,167 +35,75 @@ let create () =
     edges_removed = 0;
     max_in_degree_observed = 0;
     max_out_degree_observed = 0;
-    last_diameter = 0;
-    last_state_edges = 0;
-    last_max_in_degree = 0;
-    last_max_out_degree = 0;
-    last_ordered_pairs = None;
     elapsed_ns = 0;
     closure_rows_touched = 0;
     closure_words_ored = 0;
     closure_rebuilds = 0;
     closure_incremental_updates = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
   }
 
-let sink (c : t) =
-  {
-    Events.Sink.schedule_start = (fun ~v:_ ~name:_ -> c.schedule_calls <- c.schedule_calls + 1);
-    candidate =
-      (fun ~v:_ ~thread:_ ~after:_ ~cost:_ -> c.candidates <- c.candidates + 1);
-    tie_break = (fun ~v:_ ~rule:_ ~ties:_ -> c.tie_breaks <- c.tie_breaks + 1);
-    chosen = (fun ~v:_ ~thread:_ ~after:_ ~cost:_ -> ());
-    edge_added = (fun ~src:_ ~dst:_ -> c.edges_added <- c.edges_added + 1);
-    edge_removed = (fun ~src:_ ~dst:_ -> c.edges_removed <- c.edges_removed + 1);
-    free_placed = (fun ~v:_ ~name:_ -> c.free_placements <- c.free_placements + 1);
-    schedule_done =
-      (fun ~v:_ ~thread:_ ~summary:(s : Events.summary) ->
-        c.positions_scanned <- c.positions_scanned + s.scanned;
-        if s.scanned > c.max_positions_in_call then
-          c.max_positions_in_call <- s.scanned;
-        if s.max_thread_in_degree > c.max_in_degree_observed then
-          c.max_in_degree_observed <- s.max_thread_in_degree;
-        if s.max_thread_out_degree > c.max_out_degree_observed then
-          c.max_out_degree_observed <- s.max_thread_out_degree;
-        c.last_diameter <- s.diameter;
-        c.last_state_edges <- s.state_edges;
-        c.last_max_in_degree <- s.max_thread_in_degree;
-        c.last_max_out_degree <- s.max_thread_out_degree;
-        (match s.ordered_pairs with
-        | Some _ as p -> c.last_ordered_pairs <- p
-        | None -> ());
-        c.elapsed_ns <- c.elapsed_ns + s.elapsed_ns);
-    reach_update =
-      (fun ~rows ~words ~rebuilt ->
-        c.closure_rows_touched <- c.closure_rows_touched + rows;
-        c.closure_words_ored <- c.closure_words_ored + words;
-        if rebuilt then c.closure_rebuilds <- c.closure_rebuilds + 1
-        else
-          c.closure_incremental_updates <- c.closure_incremental_updates + 1);
-    cache_event =
-      (fun ~op ~key:_ ->
-        match op with
-        | `Hit -> c.cache_hits <- c.cache_hits + 1
-        | `Miss -> c.cache_misses <- c.cache_misses + 1
-        | `Evict -> c.cache_evictions <- c.cache_evictions + 1);
-  }
+let create () = { lock = Mutex.create (); totals = zero }
 
-let snapshot (c : t) : snapshot =
-  {
-    schedule_calls = c.schedule_calls;
-    free_placements = c.free_placements;
-    positions_scanned = c.positions_scanned;
-    max_positions_in_call = c.max_positions_in_call;
-    candidates = c.candidates;
-    tie_breaks = c.tie_breaks;
-    edges_added = c.edges_added;
-    edges_removed = c.edges_removed;
-    cross_edges_touched = c.edges_added + c.edges_removed;
-    max_in_degree_observed = c.max_in_degree_observed;
-    max_out_degree_observed = c.max_out_degree_observed;
-    last_diameter = c.last_diameter;
-    last_state_edges = c.last_state_edges;
-    last_max_in_degree = c.last_max_in_degree;
-    last_max_out_degree = c.last_max_out_degree;
-    last_ordered_pairs = c.last_ordered_pairs;
-    elapsed_ns = c.elapsed_ns;
-    closure_rows_touched = c.closure_rows_touched;
-    closure_words_ored = c.closure_words_ored;
-    closure_rebuilds = c.closure_rebuilds;
-    closure_incremental_updates = c.closure_incremental_updates;
-    cache_hits = c.cache_hits;
-    cache_misses = c.cache_misses;
-    cache_evictions = c.cache_evictions;
-  }
+let add (c : snapshot) : Events.event -> snapshot = function
+  | Schedule_start _ -> { c with schedule_calls = c.schedule_calls + 1 }
+  | Candidate _ -> { c with candidates = c.candidates + 1 }
+  | Tie_break _ -> { c with tie_breaks = c.tie_breaks + 1 }
+  | Chosen _ -> c
+  | Edge_added _ -> { c with edges_added = c.edges_added + 1 }
+  | Edge_removed _ -> { c with edges_removed = c.edges_removed + 1 }
+  | Free_placed _ -> { c with free_placements = c.free_placements + 1 }
+  | Schedule_done { summary = s; _ } ->
+    {
+      c with
+      positions_scanned = c.positions_scanned + s.scanned;
+      max_positions_in_call = max c.max_positions_in_call s.scanned;
+      max_in_degree_observed =
+        max c.max_in_degree_observed s.max_thread_in_degree;
+      max_out_degree_observed =
+        max c.max_out_degree_observed s.max_thread_out_degree;
+      elapsed_ns = c.elapsed_ns + s.elapsed_ns;
+    }
+  | Reach_update { rows; words; rebuilt } ->
+    {
+      c with
+      closure_rows_touched = c.closure_rows_touched + rows;
+      closure_words_ored = c.closure_words_ored + words;
+      closure_rebuilds = (c.closure_rebuilds + if rebuilt then 1 else 0);
+      closure_incremental_updates =
+        (c.closure_incremental_updates + if rebuilt then 0 else 1);
+    }
 
-(* Key/value view of a snapshot, keys sorted, used by the aligned
-   [dump], the JSON export and the QoR report's per-phase counter
-   deltas. Gauge-like fields keep their [last_] prefix so delta-taking
-   clients can tell them from the monotone counters. *)
+let sink c event =
+  Mutex.lock c.lock;
+  c.totals <- add c.totals event;
+  Mutex.unlock c.lock
+
+let snapshot c = c.totals
+
+(* Key/value view, keys sorted, for the QoR report's per-phase counter
+   deltas. *)
 let to_alist (s : snapshot) : (string * float) list =
   let f = float_of_int in
-  let rows =
-    [
-      ("candidates", f s.candidates);
-      ("closure_incremental_updates", f s.closure_incremental_updates);
-      ("closure_rebuilds", f s.closure_rebuilds);
-      ("closure_rows_touched", f s.closure_rows_touched);
-      ("closure_words_ored", f s.closure_words_ored);
-      ("cross_edges_touched", f s.cross_edges_touched);
-      ("edges_added", f s.edges_added);
-      ("edges_removed", f s.edges_removed);
-      ("elapsed_ns", f s.elapsed_ns);
-      ("free_placements", f s.free_placements);
-      ("last_diameter", f s.last_diameter);
-      ("last_max_in_degree", f s.last_max_in_degree);
-      ("last_max_out_degree", f s.last_max_out_degree);
-      ("last_state_edges", f s.last_state_edges);
-      ("max_in_degree_observed", f s.max_in_degree_observed);
-      ("max_out_degree_observed", f s.max_out_degree_observed);
-      ("max_positions_in_call", f s.max_positions_in_call);
-      ("positions_scanned", f s.positions_scanned);
-      ("schedule_calls", f s.schedule_calls);
-      ("tie_breaks", f s.tie_breaks);
-    ]
-  in
-  let rows =
-    match s.last_ordered_pairs with
-    | Some p -> ("last_ordered_pairs", f p) :: rows
-    | None -> rows
-  in
-  (* Cache counters only appear when a cache was actually in play, so
-     reports from the cache-less flow (and their committed baselines)
-     keep their historical key set. *)
-  let rows =
-    if s.cache_hits + s.cache_misses + s.cache_evictions = 0 then rows
-    else
-      ("cache_evictions", f s.cache_evictions)
-      :: ("cache_hits", f s.cache_hits)
-      :: ("cache_misses", f s.cache_misses)
-      :: rows
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) rows
+  [
+    ("candidates", f s.candidates);
+    ("closure_incremental_updates", f s.closure_incremental_updates);
+    ("closure_rebuilds", f s.closure_rebuilds);
+    ("closure_rows_touched", f s.closure_rows_touched);
+    ("closure_words_ored", f s.closure_words_ored);
+    ("cross_edges_touched", f (s.edges_added + s.edges_removed));
+    ("edges_added", f s.edges_added);
+    ("edges_removed", f s.edges_removed);
+    ("elapsed_ns", f s.elapsed_ns);
+    ("free_placements", f s.free_placements);
+    ("max_in_degree_observed", f s.max_in_degree_observed);
+    ("max_out_degree_observed", f s.max_out_degree_observed);
+    ("max_positions_in_call", f s.max_positions_in_call);
+    ("positions_scanned", f s.positions_scanned);
+    ("schedule_calls", f s.schedule_calls);
+    ("tie_breaks", f s.tie_breaks);
+  ]
 
-let dump (s : snapshot) =
-  let rows = to_alist s in
-  let width =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 rows
-  in
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf "%-*s %12.0f\n" width k v))
-    rows;
-  Buffer.contents b
-
-let json_number v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
-
-let to_json (s : snapshot) =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" k (json_number v)))
-    (to_alist s);
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let to_string (s : snapshot) =
+let to_string ?(state = []) (s : snapshot) =
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
   line "scheduler telemetry:";
@@ -239,22 +113,13 @@ let to_string (s : snapshot) =
     s.positions_scanned s.max_positions_in_call s.candidates;
   line "  tie-breaks taken      %8d" s.tie_breaks;
   line "  edges re-tightened    %8d  (+%d / -%d cross edges)"
-    s.cross_edges_touched s.edges_added s.edges_removed;
-  line "  state edges           %8d" s.last_state_edges;
-  line "  max thread in-degree  %8d  (out-degree %d)" s.last_max_in_degree
-    s.last_max_out_degree;
-  line "  final diameter        %8d" s.last_diameter;
-  (match s.last_ordered_pairs with
-  | Some p -> line "  ordered pairs |≺_S|   %8d" p
-  | None -> ());
+    (s.edges_added + s.edges_removed) s.edges_added s.edges_removed;
+  List.iter (line "  %s") state;
   if s.closure_rebuilds + s.closure_incremental_updates > 0 then begin
     line "  closure updates       %8d  (%d full rebuilds)"
       s.closure_incremental_updates s.closure_rebuilds;
     line "  closure rows touched  %8d  (%d words OR'd)" s.closure_rows_touched
       s.closure_words_ored
   end;
-  if s.cache_hits + s.cache_misses + s.cache_evictions > 0 then
-    line "  result cache          %8d hits, %d misses, %d evictions"
-      s.cache_hits s.cache_misses s.cache_evictions;
   line "  time in scheduler     %11.2f ms" (float_of_int s.elapsed_ns /. 1e6);
   Buffer.contents b

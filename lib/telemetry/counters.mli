@@ -1,9 +1,9 @@
-(** Monotonic counters over the scheduler's telemetry stream.
+(** Sums and maxima over the scheduler's telemetry stream.
 
-    Create one, install {!sink} (possibly {!Events.Sink.tee}-ed with a
-    recorder) and read {!snapshot} when the run is over. Counting is a
-    handful of integer stores per event — cheap enough to leave on for
-    whole benchmark sweeps. *)
+    Create one, install {!sink} (alone, or from a sink that also feeds
+    a {!Events.Recorder}) and read {!snapshot} when the run is over.
+    Every event is folded in under one lock, so the totals are exact at
+    any parallelism. *)
 
 type t
 
@@ -16,45 +16,30 @@ type snapshot = {
   tie_breaks : int;
   edges_added : int;  (** explicit cross edges added by commits *)
   edges_removed : int;  (** cross edges dropped as implied *)
-  cross_edges_touched : int;  (** added + removed *)
   max_in_degree_observed : int;  (** running max over commits (Lemma 7) *)
   max_out_degree_observed : int;
-  last_diameter : int;  (** diameter after the most recent commit *)
-  last_state_edges : int;  (** agrees with [Threaded_graph.stats] *)
-  last_max_in_degree : int;
-  last_max_out_degree : int;
-  last_ordered_pairs : int option;  (** most recent softness sample *)
   elapsed_ns : int;  (** wall time inside instrumented calls *)
   closure_rows_touched : int;  (** reachability rows unioned by syncs *)
   closure_words_ored : int;  (** 64-bit words OR'd by those unions *)
   closure_rebuilds : int;  (** syncs forced to rebuild from scratch *)
   closure_incremental_updates : int;  (** syncs served by journal replay *)
-  cache_hits : int;  (** result-cache lookups served from memory *)
-  cache_misses : int;  (** lookups that fell through to the scheduler *)
-  cache_evictions : int;  (** LRU entries dropped to stay within capacity *)
 }
 
 val create : unit -> t
 
-val sink : t -> Events.Sink.t
-(** A sink that accumulates into [t]. *)
+val sink : t -> Events.sink
+(** A sink that accumulates into [t]; safe to call from several
+    domains at once. *)
 
 val snapshot : t -> snapshot
+(** The totals so far (an immutable record). *)
 
-val to_string : snapshot -> string
-(** Human-readable block, one counter per line (what [--stats] prints). *)
+val to_string : ?state:string list -> snapshot -> string
+(** Human-readable block, one counter per line (what [--stats] prints).
+    [state] lines describe a final scheduling state and are printed
+    after the edge counts; counters alone cannot describe one state
+    when several graphs were scheduled. *)
 
 val to_alist : snapshot -> (string * float) list
-(** Key/value view, keys sorted ascending. Gauge fields carry a [last_]
-    prefix (most-recent value, not a monotone count);
-    [last_ordered_pairs] is present only when a softness sample was
-    taken, and the [cache_*] trio only when any cache traffic was
-    observed (the cache-less flow keeps its historical key set). *)
-
-val dump : snapshot -> string
-(** One [key value] line per counter, keys sorted and aligned — the
-    stable machine-greppable sibling of {!to_string}. *)
-
-val to_json : snapshot -> string
-(** The {!to_alist} rows as one JSON object (sorted keys). Embedded
-    verbatim in the QoR run-report. *)
+(** Key/value view, keys sorted ascending, with [cross_edges_touched]
+    (added + removed) among them. *)

@@ -1,8 +1,7 @@
 (* A gauge is one mutable float: a point-in-time level (queue depth,
    in-flight requests, cache occupancy) that goes up and down, as
    opposed to the monotone Counters. A single word store/load per
-   operation — writers that need coordination bring their own lock, the
-   same contract as Counters. *)
+   operation — writers that need coordination bring their own lock. *)
 
 type t = { mutable value : float }
 
@@ -11,8 +10,3 @@ let set g v = g.value <- v
 let set_int g v = g.value <- float_of_int v
 let get g = g.value
 let add g d = g.value <- g.value +. d
-
-let to_json g =
-  if Float.is_integer g.value && Float.abs g.value < 1e15 then
-    Printf.sprintf "%.0f" g.value
-  else Printf.sprintf "%.12g" g.value

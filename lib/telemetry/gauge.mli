@@ -10,6 +10,3 @@ val set : t -> float -> unit
 val set_int : t -> int -> unit
 val get : t -> float
 val add : t -> float -> unit
-
-val to_json : t -> string
-(** The value as a bare JSON number. *)

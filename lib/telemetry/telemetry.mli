@@ -1,24 +1,22 @@
 (** Scheduler telemetry: structured decision tracing for the threaded
     (soft) scheduler.
 
-    The instrumented hot path ([Soft.Threaded_graph.schedule]) guards
-    every emission site with the inlined {!enabled} check, so with no
-    sink installed the cost is one boolean load and zero allocation —
-    scheduler results are bit-identical either way, telemetry only
-    observes.
+    A sink is a function over {!event}s. The instrumented hot path
+    ([Soft.Threaded_graph.schedule]) builds each event inside the
+    inlined {!enabled} check, so with no sink installed the cost is one
+    boolean load and zero allocation — scheduler results are
+    bit-identical either way, telemetry only observes.
 
     Typical use:
     {[
       let counters = Telemetry.Counters.create () in
       let recorder = Telemetry.Recorder.create () in
-      let sink =
-        Telemetry.Sink.tee
-          (Telemetry.Counters.sink counters)
-          (Telemetry.Recorder.sink recorder)
+      let sink e =
+        Telemetry.Counters.sink counters e;
+        Telemetry.Recorder.push recorder e
       in
       let state =
-        Telemetry.with_sink sink (fun () ->
-            Soft.Scheduler.run ~resources g)
+        Telemetry.with_sink sink (fun () -> Soft.Scheduler.run ~resources g)
       in
       print_string
         (Telemetry.Counters.to_string (Telemetry.Counters.snapshot counters));

@@ -173,6 +173,26 @@ let test_deadline_honoured () =
         Alcotest.failf "%s returned %.3f s after a 50 ms deadline" name wall)
     (Engine.all ())
 
+(* Past its deadline the soft engine still runs its one linear pass:
+   the schedule is the no-deadline one, and only the annotation says
+   the result came late. *)
+let test_soft_past_deadline () =
+  let resources = R.make [ (R.Alu, 2); (R.Multiplier, 2); (R.Memory, 1) ] in
+  let g =
+    Generate.random_dag (Random.State.make [| 42 |]) ~n:600
+      ~edge_prob:(48. /. 600.)
+  in
+  let run ?deadline () =
+    (Engine.run ~ctx:(Engine.ctx ?deadline ()) (get_engine "soft") ~resources g)
+      .Engine.annot
+  in
+  let on_time = run () in
+  let late = run ~deadline:(Unix.gettimeofday () -. 1.0) () in
+  check Alcotest.int "no-deadline csteps" on_time.Engine.csteps
+    late.Engine.csteps;
+  check Alcotest.bool "on time, not degraded" false on_time.Engine.degraded;
+  check Alcotest.bool "late, degraded" true late.Engine.degraded
+
 let test_degraded_rule () =
   let g = Hls_bench.Suite.(find "HAL").build () in
   let run ?deadline name =
@@ -289,6 +309,8 @@ let () =
             test_deadline_honoured;
           Alcotest.test_case "late results are degraded" `Quick
             test_degraded_rule;
+          Alcotest.test_case "soft past its deadline" `Quick
+            test_soft_past_deadline;
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded engines" `Quick test_seed_determinism ] );

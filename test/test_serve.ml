@@ -209,27 +209,25 @@ let test_cache_replace () =
   check Alcotest.int "one hit" 1 s.Cache.hits;
   check Alcotest.int "no misses" 0 s.Cache.misses
 
+(* Cache traffic is counted by the cache itself ([stats], which the
+   batch summary and the daemon's stats reply report), not on the
+   scheduler's telemetry stream: a sink installed around the traffic
+   receives nothing. *)
 let test_cache_telemetry_counters () =
-  let counters = Telemetry.Counters.create () in
-  Telemetry.with_sink (Telemetry.Counters.sink counters) (fun () ->
-      let c = Cache.create ~capacity:2 () in
+  let recorder = Telemetry.Recorder.create () in
+  let c = Cache.create ~capacity:2 () in
+  Telemetry.with_sink (Telemetry.Recorder.push recorder) (fun () ->
       ignore (Cache.find c "a");
       Cache.add c "a" 1;
       ignore (Cache.find c "a");
       Cache.add c "b" 2;
       Cache.add c "c" 3);
-  let s = Telemetry.Counters.snapshot counters in
-  check Alcotest.int "cache_hits" 1 s.Telemetry.Counters.cache_hits;
-  check Alcotest.int "cache_misses" 1 s.Telemetry.Counters.cache_misses;
-  check Alcotest.int "cache_evictions" 1 s.Telemetry.Counters.cache_evictions;
-  check Alcotest.bool "cache rows surface in to_alist" true
-    (List.mem_assoc "cache_hits" (Telemetry.Counters.to_alist s));
-  (* A cache-less run keeps its historical key set. *)
-  let empty =
-    Telemetry.Counters.snapshot (Telemetry.Counters.create ())
-  in
-  check Alcotest.bool "no cache rows without traffic" false
-    (List.mem_assoc "cache_hits" (Telemetry.Counters.to_alist empty))
+  let s = Cache.stats c in
+  check Alcotest.int "hits" 1 s.Cache.hits;
+  check Alcotest.int "misses" 1 s.Cache.misses;
+  check Alcotest.int "evictions" 1 s.Cache.evictions;
+  check Alcotest.int "no telemetry events" 0
+    (Telemetry.Recorder.length recorder)
 
 (* The sharded cache must be observably equivalent to a single LRU: a
    pure reference model (mru-first assoc list) and the sharded cache
@@ -724,9 +722,10 @@ let test_service_degraded_fallback () =
   (match Schedule.check ~resources (T.to_schedule st) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "degraded schedule invalid: %s" m);
-  (* Degraded results answer the request but are never cached: the
-     fast path's fast-placed tail, and a race whose racers all overran
-     (they finish after the deadline without proving optimality). *)
+  (* Degraded results answer the request but are never cached: a fast
+     pass that ends after its deadline, and a race whose racers all
+     overran (they finish after the deadline without proving
+     optimality). *)
   let service = Service.create () in
   List.iter
     (fun req ->
@@ -1274,6 +1273,55 @@ let test_daemon_busy_retry_hint () =
       true
       (hint >= 25 && hint <= 5000)
 
+(* Every scheduler counter is exact at any parallelism: the same
+   requests at --jobs 1 and 4 under one counting + recording sink give
+   equal totals (the wall-clock sum aside), an equally long recording
+   and the committed golden replies. *)
+let read_lines path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | l -> go (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+let test_batch_counters_exact_across_jobs () =
+  let files = [ "batch_suite"; "batch_large" ] in
+  let run jobs =
+    let counters = Telemetry.Counters.create () in
+    let recorder = Telemetry.Recorder.create () in
+    let sink e =
+      Telemetry.Counters.sink counters e;
+      Telemetry.Recorder.push recorder e
+    in
+    Telemetry.with_sink sink (fun () ->
+        List.iter
+          (fun name ->
+            let requests = read_lines ("data/" ^ name ^ ".requests.ndjson") in
+            let out, _ = Batch.run_lines (Service.create ()) ~jobs requests in
+            check
+              Alcotest.(list string)
+              (Printf.sprintf "%s golden replies (jobs=%d)" name jobs)
+              (read_lines ("data/" ^ name ^ ".expected.ndjson"))
+              out)
+          files);
+    let counts =
+      List.filter
+        (fun (k, _) -> k <> "elapsed_ns")
+        (Telemetry.Counters.to_alist (Telemetry.Counters.snapshot counters))
+    in
+    (counts, Telemetry.Recorder.length recorder)
+  in
+  let counts1, events1 = run 1 and counts4, events4 = run 4 in
+  check Alcotest.(list (pair string (float 0.))) "counters equal" counts1 counts4;
+  check Alcotest.int "recorder length equal" events1 events4;
+  check Alcotest.bool "work was counted" true
+    (List.assoc "schedule_calls" counts1 > 0.)
+
 let test_batch_identical_with_metrics () =
   let lines =
     [
@@ -1527,6 +1575,8 @@ let () =
             test_batch_identical_with_metrics;
           Alcotest.test_case "fast identity beside a race" `Quick
             test_batch_fast_identity_beside_race;
+          Alcotest.test_case "counters exact across jobs" `Quick
+            test_batch_counters_exact_across_jobs;
         ] );
       ( "daemon",
         [

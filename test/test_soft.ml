@@ -914,11 +914,12 @@ let prop_feasibility_oracle =
 
 (* --- pinned kernel counters ------------------------------------------ *)
 
-(* The telemetry counters after scheduling two 400-vertex graphs under
-   two meta schedules. They pin the explicit edge sets the linking rules
-   produce (edges added and removed, final state edges, degree maxima)
-   and the select work, not only the schedules: a kernel rewrite must
-   reproduce every one of them. *)
+(* The telemetry counters and the final state's edge count and diameter
+   after scheduling two 400-vertex graphs under two meta schedules. They
+   pin the explicit edge sets the linking rules produce (edges added and
+   removed, final state edges, degree maxima) and the select work, not
+   only the schedules: a kernel rewrite must reproduce every one of
+   them. *)
 let test_pinned_kernel_counters () =
   let layered () =
     Generate.layered (Random.State.make [| 400 |]) ~layers:40 ~width:10 ~fanin:3
@@ -929,9 +930,10 @@ let test_pinned_kernel_counters () =
     (fun (label, build, meta, expected) ->
       let c = Telemetry.Counters.create () in
       let meta = Option.get (Meta.of_name ~resources:two_two meta) in
-      ignore
-        (Soft.Scheduler.run_traced ~meta ~resources:two_two
-           ~sink:(Telemetry.Counters.sink c) (build ()));
+      let state =
+        Soft.Scheduler.run_traced ~meta ~resources:two_two
+          ~sink:(Telemetry.Counters.sink c) (build ())
+      in
       let s = Telemetry.Counters.snapshot c in
       check
         Alcotest.(list int)
@@ -943,8 +945,8 @@ let test_pinned_kernel_counters () =
             s.candidates;
             s.edges_added;
             s.edges_removed;
-            s.last_state_edges;
-            s.last_diameter;
+            (T.stats state).T.n_state_edges;
+            T.diameter state;
             s.max_in_degree_observed;
             s.max_out_degree_observed;
           ])
